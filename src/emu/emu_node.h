@@ -3,7 +3,7 @@
 //
 // The slot simulator advances all nodes in lockstep and hands packets around
 // as C++ objects; an EmuNode instead observes a monotonically increasing
-// *virtual clock* (the harness's vtime::Clock — wall-scaled, warped, or
+// *virtual clock* (the mux's vtime::Clock — wall-scaled, warped, or
 // deterministic; DESIGN.md §12) and reacts to whatever bytes its transport
 // delivers.  step(now) is pure in `now`: the node never reads time itself,
 // which is what lets the same node code run under all three clock modes.  The
@@ -143,15 +143,15 @@ class EmuNode {
                        std::vector<double> lambda, std::vector<double> beta,
                        int iterations);
 
-  /// Thread-safe event hook (the harness serializes).  Receives
+  /// Thread-safe event hook (the mux serializes).  Receives
   /// kGenerationAck (at the source, value = session-time latency),
   /// kEmuParseError, and the recovery family (kEmuResync / kEmuStall).
   void set_metric_sink(std::function<void(const protocols::MetricEvent&)> sink);
 
-  /// Packet-lifecycle hook (the harness serializes alongside metric events).
+  /// Packet-lifecycle hook (the mux serializes alongside metric events).
   /// When set, the node emits a SpanEvent at every enqueue / transmit /
   /// receive / innovate / decode of a coded packet; drops are emitted by the
-  /// harness's transport tap.  Data frames carry their span id on the wire
+  /// mux's transport tap.  Data frames carry their span id on the wire
   /// whether or not a sink is installed, so traced and untraced runs
   /// exchange byte-identical traffic.
   void set_span_sink(std::function<void(const obs::SpanEvent&)> sink);
@@ -174,7 +174,7 @@ class EmuNode {
   void step_local(double now);
 
   /// Generations the source has retired; readable from any thread while the
-  /// node is running (the harness's stop condition).
+  /// node is running (the mux's stop condition).
   int completed_generations() const {
     return completed_.load(std::memory_order_relaxed);
   }
@@ -201,7 +201,7 @@ class EmuNode {
   };
 
   /// Snapshot of the node's counters; call only after the node's thread has
-  /// stopped (the harness joins before reading).
+  /// stopped (the mux joins before reading).
   const Stats& stats() const { return stats_; }
 
  private:

@@ -13,12 +13,14 @@
 namespace omnc::emu {
 
 /// Serializes metric + span events from worker threads and the transport
-/// observer into the caller's sinks — the session-aware sibling of
-/// EmuHarness's EventTap.  Per-session protocol events arrive from the
-/// EmuNodes already stamped with their session id; transport-level events
-/// are attributed by peeking the frame bytes when they are available
-/// (drops, faults) and carry session 0 when only a byte count exists
-/// (send/deliver) — a size names no session.
+/// observer into the caller's sinks, stamping transport events with the run
+/// clock's virtual time — the same clock the nodes and fault schedules read,
+/// so mux and injector timestamps can never skew apart.  Per-session
+/// protocol events arrive from the EmuNodes already stamped with their
+/// session id; transport-level events are attributed by peeking the frame
+/// bytes when they are available (drops, faults).  When only a byte count
+/// exists (send/deliver, truncation) the event names the run's session if
+/// there is exactly one, and session 0 otherwise — a size names no session.
 class SessionMux::MuxTap final : public TransportObserver {
  public:
   MuxTap(const routing::SessionGraph& graph, const vtime::Clock& clock,
@@ -29,7 +31,8 @@ class SessionMux::MuxTap final : public TransportObserver {
         clock_(clock),
         sink_(std::move(sink)),
         span_sink_(std::move(span_sink)),
-        sessions_(sessions) {}
+        sessions_(sessions),
+        only_session_(sessions.size() == 1 ? sessions.begin()->first : 0) {}
 
   void forward(const protocols::MetricEvent& event) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -42,7 +45,8 @@ class SessionMux::MuxTap final : public TransportObserver {
   }
 
   void on_send(int from, std::size_t bytes) override {
-    emit(protocols::MetricEvent::Type::kEmuSend, from, -1, bytes, 0);
+    emit(protocols::MetricEvent::Type::kEmuSend, from, -1, bytes,
+         only_session_);
   }
   void on_drop(int from, int to,
                std::span<const std::uint8_t> frame) override {
@@ -51,7 +55,8 @@ class SessionMux::MuxTap final : public TransportObserver {
     span_drop(from, to, frame, clock_.now());
   }
   void on_deliver(int from, int to, std::size_t bytes) override {
-    emit(protocols::MetricEvent::Type::kEmuDeliver, from, to, bytes, 0);
+    emit(protocols::MetricEvent::Type::kEmuDeliver, from, to, bytes,
+         only_session_);
   }
   void on_fault(const FaultRecord& record) override {
     // Fault records carry the injector's own virtual timestamp.
@@ -71,10 +76,12 @@ class SessionMux::MuxTap final : public TransportObserver {
     }
   }
   void on_truncated(int from, int to, std::size_t claimed_bytes) override {
+    // Truncated datagrams share the parse-error family with a distinct
+    // reason code (generation = 1; parser rejections use 0).
     protocols::MetricEvent event;
     event.type = protocols::MetricEvent::Type::kEmuParseError;
     event.time = clock_.now();
-    event.session = 0;  // a truncated buffer demuxes nowhere
+    event.session = only_session_;  // a truncated buffer demuxes nowhere
     if (to >= 0 && to < graph_.size()) event.node = graph_.node_id(to);
     event.tx_local = from;
     event.rx_local = to;
@@ -101,12 +108,19 @@ class SessionMux::MuxTap final : public TransportObserver {
   }
 
   /// The frame's header session id when it is readable and belongs to one
-  /// of the mux's sessions; 0 (unattributed) otherwise.
-  std::uint32_t session_of(std::span<const std::uint8_t> frame) const {
+  /// of the mux's sessions; 0 otherwise.
+  std::uint32_t known_session(std::span<const std::uint8_t> frame) const {
     if (frame.empty()) return 0;
     std::uint32_t session = 0;
     if (!wire::peek_session(frame, &session)) return 0;
     return sessions_.count(session) != 0 ? session : 0;
+  }
+
+  /// known_session(), falling back to the run's only session (if any) for
+  /// frames that name none of the mux's sessions.
+  std::uint32_t session_of(std::span<const std::uint8_t> frame) const {
+    const std::uint32_t session = known_session(frame);
+    return session != 0 ? session : only_session_;
   }
 
   /// Closes the span of a killed coded-data copy by peeking its wire trace
@@ -119,7 +133,7 @@ class SessionMux::MuxTap final : public TransportObserver {
     if (!wire::peek_trace(frame, &origin, &seq)) return;
     const obs::SpanId span{origin, seq};
     if (!span.valid()) return;
-    const std::uint32_t session = session_of(frame);
+    const std::uint32_t session = known_session(frame);
     if (session == 0) return;
     std::uint32_t generation = 0;
     if (!wire::peek_generation(frame, &generation)) return;
@@ -139,6 +153,7 @@ class SessionMux::MuxTap final : public TransportObserver {
   std::function<void(const protocols::MetricEvent&)> sink_;
   std::function<void(const obs::SpanEvent&)> span_sink_;
   const std::unordered_map<std::uint32_t, int>& sessions_;
+  const std::uint32_t only_session_;
   std::mutex mutex_;
 };
 
@@ -353,9 +368,9 @@ bool SessionMux::run_deterministic(vtime::DeterministicClock& clock,
       break;
     }
     clock.advance_to(clock.now() + tick);
-    // Node-major, then session order: with sessions = 1 this is exactly
-    // EmuHarness's deterministic schedule, and the whole run is a pure
-    // function of the configured seeds.
+    // Fixed node-major, then session order: together with the cooperative
+    // clock this makes the whole run a pure function of the configured
+    // seeds.
     const double now = clock.now();
     for (int node = 0; node < graph_.size(); ++node) {
       drain_and_step(now, node, true);

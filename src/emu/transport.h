@@ -124,7 +124,7 @@ class Transport {
 
   virtual TransportStats stats() const = 0;
 
-  /// Attaches the run's virtual clock (the harness calls this before any
+  /// Attaches the run's virtual clock (the mux calls this before any
   /// traffic; nullptr detaches).  All time-dependent transport behaviour —
   /// delay queues, fault schedules, event timestamps — reads this clock, so
   /// every layer of a run agrees on "now".  Decorators forward to the
@@ -147,7 +147,7 @@ class Transport {
 
  protected:
   /// Virtual seconds since run start; 0.0 when no clock is bound (traffic
-  /// outside a harness run, e.g. direct transport unit tests).
+  /// outside a mux run, e.g. direct transport unit tests).
   double clock_now() const { return clock_ ? clock_->now() : 0.0; }
 
   TransportObserver* observer_ = nullptr;

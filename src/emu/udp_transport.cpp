@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #if defined(__linux__)
+#include <linux/sock_diag.h>
 #include <sys/epoll.h>
 #endif
 
@@ -325,7 +326,7 @@ void UdpTransport::accept_datagram(int to, std::uint16_t src_port,
     return;
   }
   if (from < 0) {
-    // A stray datagram from outside the harness; drop it.
+    // A stray datagram from outside the run; drop it.
     copies_dropped_.fetch_add(1, std::memory_order_relaxed);
     if (observer_ != nullptr) {
       observer_->on_drop(-1, to, bytes.first(claimed));
@@ -447,11 +448,31 @@ std::size_t UdpTransport::poll(int to, const Handler& handler) {
   return delivered;
 }
 
+std::size_t UdpTransport::kernel_drops() const {
+  // Datagrams the kernel discarded on arrival (receive buffer full) never
+  // reach recvmmsg, so only the socket itself can count them.  Read once per
+  // stats() call, never on the datagram path.
+  std::size_t drops = 0;
+#if defined(__linux__) && defined(SO_MEMINFO)
+  for (const int fd : fds_) {
+    std::uint32_t meminfo[SK_MEMINFO_VARS] = {};
+    socklen_t len = sizeof(meminfo);
+    const socklen_t needed = (SK_MEMINFO_DROPS + 1) * sizeof(std::uint32_t);
+    if (::getsockopt(fd, SOL_SOCKET, SO_MEMINFO, meminfo, &len) == 0 &&
+        len >= needed) {
+      drops += meminfo[SK_MEMINFO_DROPS];
+    }
+  }
+#endif
+  return drops;
+}
+
 TransportStats UdpTransport::stats() const {
   TransportStats stats;
   stats.frames_sent = frames_sent_.load(std::memory_order_relaxed);
   stats.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-  stats.copies_dropped = copies_dropped_.load(std::memory_order_relaxed);
+  stats.copies_dropped =
+      copies_dropped_.load(std::memory_order_relaxed) + kernel_drops();
   stats.copies_delivered = copies_delivered_.load(std::memory_order_relaxed);
   stats.datagrams_truncated =
       datagrams_truncated_.load(std::memory_order_relaxed);

@@ -100,6 +100,9 @@ class UdpTransport final : public Transport {
   void record_recv_error(int to, int err);
   /// Test seam: true when this receive attempt should fail with EINTR.
   bool inject_eintr();
+  /// Receive-buffer overflow drops the kernel counted across all sockets
+  /// (SO_MEMINFO; 0 where unsupported).  Part of stats().copies_dropped.
+  std::size_t kernel_drops() const;
 
   int n_;
   UdpConfig config_;

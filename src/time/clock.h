@@ -2,9 +2,9 @@
 // (DESIGN.md §12).
 //
 // A Clock maps a run's virtual timeline onto execution.  The emulation
-// harness, its transports, the fault injector, and the trace timestamps all
-// read the same Clock, so there is exactly one time origin per run and three
-// interchangeable ways to advance it:
+// runtime (SessionMux), its transports, the fault injector, and the trace
+// timestamps all read the same Clock, so there is exactly one time origin
+// per run and three interchangeable ways to advance it:
 //
 //   * RealClock — virtual time is wall time times `speedup`; sleep_until
 //     blocks the calling thread for the corresponding wall interval.  The

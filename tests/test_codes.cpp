@@ -24,8 +24,8 @@
 #include "coding/decoder.h"
 #include "coding/generation.h"
 #include "common/rng.h"
-#include "emu/emu_harness.h"
 #include "emu/loopback_transport.h"
+#include "emu/session_mux.h"
 #include "galois/region.h"
 #include "net/topology.h"
 #include "opt/rate_control.h"
@@ -565,9 +565,9 @@ void run_emu_with_family(const CodeSpec& spec) {
   config.clock_mode = vtime::ClockMode::kWarp;
   config.speedup = 20.0;
   config.wall_timeout_s = 45.0;
-  emu::EmuHarness harness(graph, transport, config);
-  harness.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
-  const emu::EmuRunResult result = harness.run();
+  emu::SessionMux mux(graph, transport, emu::MuxConfig{config});
+  mux.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
+  const emu::EmuRunResult result = mux.run().sessions.at(0);
   EXPECT_TRUE(result.completed) << spec.selector();
   EXPECT_TRUE(result.data_ok) << spec.selector();
   EXPECT_EQ(result.generations_completed, 3) << spec.selector();

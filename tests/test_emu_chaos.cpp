@@ -1,4 +1,4 @@
-// Chaos soak: the fig-2 diamond under EmuHarness, swept across every shipped
+// Chaos soak: the fig-2 diamond as one SessionMux session, swept across every shipped
 // FaultPlan preset (burst loss, jitter/reorder/dup, a 2 s partition, a
 // single-node blackout, and the combined chaos scenario).  The acceptance
 // gate is liveness + integrity: under every scenario all generations decode
@@ -7,7 +7,7 @@
 // (thread scheduling is nondeterministic, see DESIGN.md §10).
 //
 // The soak runs under the WarpClock (DESIGN.md §12): virtual time advances
-// as fast as the node threads can step, so sweeping every preset costs
+// as fast as the shard workers can step, so sweeping every preset costs
 // milliseconds of wall time instead of sleeping through the virtual
 // seconds.  One small RealClock smoke keeps the wall-paced path covered.
 //
@@ -18,9 +18,9 @@
 #include <string>
 #include <vector>
 
-#include "emu/emu_harness.h"
 #include "emu/fault_transport.h"
 #include "emu/loopback_transport.h"
+#include "emu/session_mux.h"
 #include "net/topology.h"
 #include "opt/rate_control.h"
 #include "opt/sunicast.h"
@@ -55,6 +55,7 @@ EmuConfig soak_config(vtime::ClockMode clock_mode) {
 
 struct SoakOutcome {
   EmuRunResult result;
+  TransportStats transport;
   FaultStats faults;
 };
 
@@ -74,11 +75,16 @@ SoakOutcome run_scenario(const std::string& preset,
   LoopbackTransport base(graph.size(), link_matrix_from_topology(topo, graph),
                          loopback);
   SoakOutcome outcome;
-  const EmuConfig config = soak_config(clock_mode);
+  const MuxConfig config{soak_config(clock_mode)};
+  auto run_over = [&](Transport& transport) {
+    SessionMux mux(graph, transport, config);
+    mux.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
+    const MuxRunResult run = mux.run();
+    outcome.result = run.sessions.at(0);
+    outcome.transport = run.transport;
+  };
   if (preset.empty()) {
-    EmuHarness harness(graph, base, config);
-    harness.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
-    outcome.result = harness.run();
+    run_over(base);
     return outcome;
   }
   FaultPlan plan;
@@ -86,9 +92,7 @@ SoakOutcome run_scenario(const std::string& preset,
   EXPECT_TRUE(FaultPlan::parse(preset, &plan, &error)) << preset << ": "
                                                        << error;
   FaultTransport faulty(base, plan);
-  EmuHarness harness(graph, faulty, config);
-  harness.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
-  outcome.result = harness.run();
+  run_over(faulty);
   outcome.faults = faulty.fault_stats();
   return outcome;
 }
@@ -120,8 +124,8 @@ TEST(EmuChaosSoak, EveryPresetRetiresAllGenerationsWithinGoodputBand) {
                           << clean.result.goodput_bytes_per_s;
     // Bounded redundancy: the stall boost must not balloon traffic past a
     // small multiple of the clean run's transmission volume.
-    EXPECT_LT(outcome.result.transport.frames_sent,
-              12 * clean.result.transport.frames_sent);
+    EXPECT_LT(outcome.transport.frames_sent,
+              12 * clean.transport.frames_sent);
   }
 }
 
@@ -152,9 +156,9 @@ TEST(EmuChaosSoak, RealClockSmoke) {
                          loopback);
   EmuConfig config = soak_config(vtime::ClockMode::kReal);
   config.node.max_generations = 4;
-  EmuHarness harness(graph, base, config);
-  harness.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
-  const EmuRunResult result = harness.run();
+  SessionMux mux(graph, base, MuxConfig{config});
+  mux.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
+  const EmuRunResult result = mux.run().sessions.at(0);
   EXPECT_TRUE(result.completed);
   EXPECT_TRUE(result.data_ok);
   EXPECT_EQ(result.generations_completed, 4);

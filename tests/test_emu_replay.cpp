@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "emu/emu_harness.h"
 #include "emu/fault_transport.h"
 #include "emu/loopback_transport.h"
+#include "emu/session_mux.h"
 #include "net/topology.h"
 #include "obs/trace.h"
 #include "opt/rate_control.h"
@@ -87,11 +87,11 @@ void run_traced(std::uint64_t seed, const std::string& path) {
   const int run_id = recorder.begin_run(context, {&graph});
   obs::RunSink sink(&recorder, run_id);
 
-  EmuHarness harness(graph, faulty, config);
-  harness.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
-  harness.set_metric_sink(
+  SessionMux mux(graph, faulty, MuxConfig{config});
+  mux.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
+  mux.set_metric_sink(
       [&sink](const protocols::MetricEvent& event) { sink.on_event(event); });
-  const EmuRunResult result = harness.run();
+  const MuxRunResult result = mux.run();
   EXPECT_TRUE(result.completed);
   EXPECT_TRUE(result.data_ok);
 }

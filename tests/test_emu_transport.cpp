@@ -309,6 +309,37 @@ TEST(UdpTransport, ReportsEffectiveReceiveBufferSize) {
   EXPECT_EQ(stats.socket_errors, 0u);
 }
 
+TEST(UdpTransport, KernelReceiveDropsAreCounted) {
+  // A receiver that is flooded while nobody polls it overflows its socket
+  // buffer; the kernel discards those datagrams before recvmmsg can see
+  // them.  stats() must still account for every copy: delivered + dropped
+  // equals sends x fan-out once the receivers are drained.
+#if !defined(__linux__)
+  GTEST_SKIP() << "kernel drop counters need SO_MEMINFO";
+#endif
+  UdpConfig config;
+  config.recv_buffer_bytes = 1;  // the kernel clamps to its minimum
+  UdpTransport transport(3, config);
+  const int sent = 200;
+  for (int k = 0; k < sent; ++k) transport.send(0, message(0x5a, 512));
+  std::size_t delivered = 0;
+  for (int to = 1; to < 3; ++to) {
+    for (int idle = 0; idle < 20;) {
+      const std::size_t got =
+          transport.poll(to, [](int, std::span<const std::uint8_t>) {});
+      delivered += got;
+      idle = got == 0 ? idle + 1 : 0;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  const TransportStats stats = transport.stats();
+  const std::size_t fan_out = 2;
+  EXPECT_EQ(stats.copies_delivered, delivered);
+  EXPECT_GT(stats.copies_dropped, 0u);  // the tiny buffer did overflow
+  EXPECT_EQ(stats.copies_delivered + stats.copies_dropped,
+            static_cast<std::size_t>(sent) * fan_out);
+}
+
 TEST(UdpTransport, EintrMidDrainRetriesInsteadOfStoppingEarly) {
   // Regression: poll() used to treat EINTR as "inbox drained" and return,
   // stranding queued datagrams until the next tick (and, under the mux's

@@ -2,8 +2,8 @@
 // must (a) replay byte-identically under the deterministic clock, (b) leave
 // each session's trajectory untouched by its neighbours when the links are
 // lossless (exact equality against S independent single-session runs),
-// (c) collapse to exactly the EmuHarness schedule for sessions = 1, and
-// (d) reject malformed or cross-session frames at the demux boundary before
+// (c) reproduce the committed single-session det diamond record exactly,
+// and (d) reject malformed or cross-session frames at the demux boundary before
 // any runtime sees them.
 #include <gtest/gtest.h>
 
@@ -11,13 +11,14 @@
 #include <memory>
 #include <vector>
 
+#include "codes/code_spec.h"
 #include "coding/coded_packet.h"
-#include "emu/emu_harness.h"
 #include "emu/loopback_transport.h"
 #include "emu/session_mux.h"
 #include "net/topology.h"
 #include "opt/rate_control.h"
 #include "opt/sunicast.h"
+#include "protocols/metrics_bus.h"
 #include "routing/node_selection.h"
 #include "wire/frame.h"
 
@@ -134,8 +135,8 @@ TEST(SessionMux, DeterministicReplayIsByteIdenticalAcrossEightSessions) {
 TEST(SessionMux, LosslessSessionsMatchIndependentSoloRunsExactly) {
   // On perfect links the shared channel draws no loss RNG, so multiplexing
   // eight sessions must not change any one of them: session s of the mux
-  // run equals a single-session EmuHarness run with session s's derived
-  // seeds, field for field.
+  // run equals a solo (S = 1) run with session s's derived seeds, field for
+  // field.
   const net::Topology topo = lossless_diamond();
   const routing::SessionGraph graph = routing::select_nodes(topo, 0, 3);
   const std::vector<double> rates = oracle_rates(graph);
@@ -156,46 +157,72 @@ TEST(SessionMux, LosslessSessionsMatchIndependentSoloRunsExactly) {
   for (int s = 0; s < sessions; ++s) {
     const std::unique_ptr<LoopbackTransport> solo_transport =
         make_loopback(topo, graph, 1);
-    EmuConfig solo = det_config(3);
-    solo.node.session_id = 1 + static_cast<std::uint32_t>(s);
-    solo.node.data_seed = 1 + static_cast<std::uint64_t>(s);
-    solo.node.rng_seed = 1 + static_cast<std::uint64_t>(s);
-    EmuHarness harness(graph, *solo_transport, solo);
-    harness.install_rates(rates);
-    const EmuRunResult alone = harness.run();
-    expect_session_equal(muxed.sessions[static_cast<std::size_t>(s)], alone,
-                         "solo comparison");
+    MuxConfig solo;
+    solo.emu = det_config(3);
+    solo.emu.node.session_id = 1 + static_cast<std::uint32_t>(s);
+    solo.emu.node.data_seed = 1 + static_cast<std::uint64_t>(s);
+    solo.emu.node.rng_seed = 1 + static_cast<std::uint64_t>(s);
+    SessionMux alone(graph, *solo_transport, solo);
+    alone.install_rates(rates);
+    const MuxRunResult alone_result = alone.run();
+    ASSERT_EQ(alone_result.sessions.size(), 1u);
+    expect_session_equal(muxed.sessions[static_cast<std::size_t>(s)],
+                         alone_result.sessions[0], "solo comparison");
   }
 }
 
-TEST(SessionMux, SingleSessionCollapsesToEmuHarnessExactly) {
-  // sessions = 1 must be EmuHarness by another name: same deterministic
-  // schedule, same RNG draw order, same result — on *lossy* links too.
+TEST(SessionMux, SingleSessionDetDiamondMatchesCommittedRecord) {
+  // The exact `omnc_emu --clock det` configuration — Fig. 2 diamond, seed 1,
+  // 8 x 64 B generations, 8 of them, rate-control prices flooded in-band —
+  // as one mux session.  The figures are the committed det record of
+  // BENCH_8.json / bench/baselines/BENCH_emu_goodput.json, so any drift in
+  // the single-session schedule fails here, not only in the CI bench gate.
   const net::Topology topo = diamond();
   const routing::SessionGraph graph = routing::select_nodes(topo, 0, 3);
-  const std::vector<double> rates = oracle_rates(graph);
+  opt::RateControlParams params;
+  params.capacity = kCapacity;
+  opt::DistributedRateControl control(graph, params);
+  const opt::RateControlResult rc = control.run();
+  std::vector<double> rates = rc.b;
+  opt::rescale_to_feasible(graph, rates, kCapacity);
 
-  const std::unique_ptr<LoopbackTransport> mux_transport =
-      make_loopback(topo, graph, 1);
-  MuxConfig mux_config;
-  mux_config.emu = det_config(3);
-  mux_config.sessions = 1;
-  SessionMux mux(graph, *mux_transport, mux_config);
-  mux.install_rates(rates);
-  const MuxRunResult muxed = mux.run();
-  ASSERT_EQ(muxed.sessions.size(), 1u);
+  LoopbackConfig loopback;
+  loopback.seed = 1;
+  LoopbackTransport transport(graph.size(),
+                              link_matrix_from_topology(topo, graph), loopback);
+  MuxConfig config;
+  config.emu.node.coding.generation_blocks = 8;
+  config.emu.node.coding.block_bytes = 64;
+  config.emu.node.max_generations = 8;
+  config.emu.node.code = codes::CodeSpec::dense();
+  config.emu.clock_mode = vtime::ClockMode::kDeterministic;
+  SessionMux mux(graph, transport, config);
+  mux.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
 
-  const std::unique_ptr<LoopbackTransport> harness_transport =
-      make_loopback(topo, graph, 1);
-  EmuHarness harness(graph, *harness_transport, det_config(3));
-  harness.install_rates(rates);
-  const EmuRunResult alone = harness.run();
+  // With one session every event names it — byte-count-only transport
+  // events included — so single-session traces keep their attribution.
+  std::size_t sends = 0;
+  std::size_t foreign = 0;
+  mux.set_metric_sink([&](const protocols::MetricEvent& event) {
+    if (event.type == protocols::MetricEvent::Type::kEmuSend) ++sends;
+    if (event.session != mux.session_id_of(0)) ++foreign;
+  });
+  const MuxRunResult result = mux.run();
 
-  expect_session_equal(muxed.sessions[0], alone, "harness equivalence");
-  EXPECT_EQ(muxed.transport.frames_sent, alone.transport.frames_sent);
-  EXPECT_EQ(muxed.transport.copies_delivered,
-            alone.transport.copies_delivered);
-  EXPECT_EQ(muxed.transport.copies_dropped, alone.transport.copies_dropped);
+  ASSERT_EQ(result.sessions.size(), 1u);
+  const EmuRunResult& session = result.sessions[0];
+  EXPECT_TRUE(result.completed);
+  EXPECT_TRUE(result.data_ok);
+  EXPECT_EQ(session.generations_completed, 8);
+  EXPECT_EQ(session.goodput_bytes_per_s, 6168.6746987951728);
+  EXPECT_EQ(session.last_ack_time, 0.66400000000000081);
+  EXPECT_EQ(session.parse_errors, 0u);
+  EXPECT_EQ(result.transport.frames_sent, 296u);
+  EXPECT_EQ(result.transport.copies_delivered, 455u);
+  EXPECT_EQ(result.transport.copies_dropped, 137u);
+  EXPECT_EQ(sends, 296u);
+  EXPECT_EQ(mux.session_id_of(0), 1u);
+  EXPECT_EQ(foreign, 0u);
 }
 
 TEST(SessionMux, WarpSoakCompletesEverySession) {

@@ -3,11 +3,12 @@
 // lookup-table implementation, depending on generation and block size.
 //
 // Benchmarks cover the raw region kernels (single-source axpy, the fused
-// four-source fold, and the scatter form), full-generation encoding, and
-// progressive decoding through recover(), each registered once per backend
-// (scalar / sse2 / ssse3 / avx2 / gfni / neon / portable).  Unsupported
-// backends are skipped at run time.  Run with --benchmark_filter=... to narrow, and --json <path>
-// to mirror results into the shared bench JSON format.
+// four-source fold, and the scatter form), dense encoding and progressive
+// decoding (through recover_into()) with the family encoder and decoder, and
+// the structured family decoders, each registered once per backend (scalar /
+// sse2 / ssse3 / avx2 / gfni / neon / portable).  Unsupported backends are
+// skipped at run time.  Run with --benchmark_filter=... to narrow, and
+// --json <path> to mirror results into the shared bench JSON format.
 #include <benchmark/benchmark.h>
 
 #include <span>
@@ -16,8 +17,6 @@
 
 #include "bench_util.h"
 #include "codes/family_runtime.h"
-#include "coding/decoder.h"
-#include "coding/encoder.h"
 #include "common/rng.h"
 #include "galois/region.h"
 
@@ -117,10 +116,12 @@ void bench_encode(benchmark::State& state, gf::Backend backend) {
   const auto bytes = static_cast<std::uint16_t>(state.range(1));
   coding::CodingParams params{blocks, bytes};
   const coding::Generation gen = coding::Generation::synthetic(0, params, 7);
-  coding::SourceEncoder encoder(gen, 0);
+  codes::FamilyEncoder encoder(gen, 0, codes::CodeSpec::dense());
   Rng rng(3);
+  coding::CodedPacket pkt;
+  coding::CodedStructure structure;
   for (auto _ : state) {
-    coding::CodedPacket pkt = encoder.next_packet(rng);
+    encoder.next_packet_into(rng, &pkt, &structure);
     benchmark::DoNotOptimize(pkt.payload.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -139,17 +140,18 @@ void bench_progressive_decode(benchmark::State& state, gf::Backend backend) {
   const auto bytes = static_cast<std::uint16_t>(state.range(1));
   coding::CodingParams params{blocks, bytes};
   const coding::Generation gen = coding::Generation::synthetic(0, params, 7);
-  coding::SourceEncoder encoder(gen, 0);
+  codes::FamilyEncoder encoder(gen, 0, codes::CodeSpec::dense());
   Rng rng(5);
   // Pre-generate a full generation worth of packets outside the timing loop.
-  std::vector<coding::CodedPacket> packets;
-  for (int i = 0; i < blocks + 4; ++i) packets.push_back(encoder.next_packet(rng));
+  std::vector<coding::CodedPacket> packets(blocks + 4);
+  coding::CodedStructure dense;
+  for (auto& pkt : packets) encoder.next_packet_into(rng, &pkt, &dense);
   std::vector<std::uint8_t> out(params.generation_bytes());
   for (auto _ : state) {
-    coding::ProgressiveDecoder decoder(params, 0);
+    codes::FamilyDecoder decoder(params, 0, codes::CodeSpec::dense());
     for (const auto& pkt : packets) {
       if (decoder.complete()) break;
-      decoder.offer(pkt.as_view());
+      decoder.offer(pkt.as_view(), dense);
     }
     // Decode all the way through: recover_into() runs the deferred payload
     // elimination straight into the caller buffer, so the timing covers

@@ -7,11 +7,11 @@
 //   ./quickstart [--loss 0.4]
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
+#include <vector>
 
-#include "coding/decoder.h"
-#include "coding/encoder.h"
-#include "coding/recoder.h"
+#include "codes/family_runtime.h"
 #include "common/options.h"
 #include "common/rng.h"
 
@@ -31,25 +31,31 @@ int main(int argc, char** argv) {
       0, params,
       {reinterpret_cast<const std::uint8_t*>(message.data()), message.size()});
 
-  coding::SourceEncoder source(generation, /*session_id=*/1);
-  coding::Recoder relay(params, 1, 0);
-  coding::ProgressiveDecoder destination(params, 0);
+  // Dense random linear coding; the same classes run the systematic and
+  // banded code families by CodeSpec.
+  const codes::CodeSpec spec = codes::CodeSpec::dense();
+  codes::FamilyEncoder source(generation, /*session_id=*/1, spec);
+  codes::FamilyRecoder relay(params, /*session_id=*/1, /*generation_id=*/0,
+                             spec);
+  codes::FamilyDecoder destination(params, /*generation_id=*/0, spec);
   Rng rng(7);
 
+  coding::CodedPacket pkt;
+  coding::CodedStructure structure;
   int source_tx = 0;
   int relay_tx = 0;
   while (!destination.complete()) {
     // Source broadcasts a fresh random combination; the relay overhears it
     // with probability (1 - loss).
-    const coding::CodedPacket pkt = source.next_packet(rng);
+    source.next_packet_into(rng, &pkt, &structure);
     ++source_tx;
-    if (!rng.chance(loss)) relay.offer(pkt);
+    if (!rng.chance(loss)) relay.offer(pkt.as_view(), structure);
     // The relay re-encodes whatever it holds and broadcasts onward.
     if (relay.can_send()) {
       ++relay_tx;
       if (!rng.chance(loss)) {
-        const bool innovative = destination.offer(relay.recode(rng));
-        if (innovative) {
+        relay.recode_into(rng, &pkt, &structure);
+        if (destination.offer(pkt.as_view(), structure).innovative) {
           std::printf("destination rank %2zu/%u after %d source + %d relay "
                       "transmissions\n",
                       destination.rank(), params.generation_blocks, source_tx,
@@ -59,7 +65,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto bytes = destination.recover();
+  std::vector<std::uint8_t> bytes(destination.recovered_size());
+  destination.recover_into(std::span<std::uint8_t>(bytes));
   const std::string recovered(reinterpret_cast<const char*>(bytes.data()),
                               message.size());
   std::printf("\nloss rate %.0f%%, no retransmissions, no feedback:\n  \"%s\"\n",

@@ -4,17 +4,84 @@
 
 #include "common/assert.h"
 #include "galois/region.h"
+#include "obs/registry.h"
 
 namespace omnc::codes {
+
+namespace {
+
+/// The dense form of a packet: `view` itself for a dense structure;
+/// otherwise `view` with its compact coefficients expanded into `scratch`
+/// (n bytes).  Returns false when the structure does not fit the geometry.
+bool dense_view(const coding::CodedPacketView& view,
+                const coding::CodedStructure& structure,
+                const coding::CodingParams& params, std::uint8_t* scratch,
+                coding::CodedPacketView* out) {
+  *out = view;
+  if (structure.dense()) return true;
+  if (view.generation_blocks != params.generation_blocks ||
+      !structure.valid_for(view.generation_blocks)) {
+    return false;
+  }
+  coding::expand_coefficients(structure, view.coefficients,
+                              view.generation_blocks, scratch);
+  out->coefficients =
+      std::span<const std::uint8_t>(scratch, params.generation_blocks);
+  return true;
+}
+
+void stamp_header(std::uint32_t session_id, std::uint32_t generation_id,
+                  const coding::CodingParams& params,
+                  coding::CodedPacket* out) {
+  out->session_id = session_id;
+  out->generation_id = generation_id;
+  out->generation_blocks = params.generation_blocks;
+  out->block_bytes = params.block_bytes;
+}
+
+/// Fills `values` with fresh byte draws, one each.  An all-zero draw is
+/// repaired to a unit first entry instead of re-drawn, which pins the draw
+/// count.
+void draw_nonzero(Rng& rng, std::uint8_t* values, std::size_t count) {
+  bool nonzero = false;
+  for (std::size_t i = 0; i < count; ++i) {
+    values[i] = rng.next_byte();
+    nonzero |= (values[i] != 0);
+  }
+  if (!nonzero) values[0] = 1;
+}
+
+}  // namespace
 
 // --- FamilyEncoder ---------------------------------------------------------
 
 FamilyEncoder::FamilyEncoder(const coding::Generation& generation,
                              std::uint32_t session_id, const CodeSpec& spec)
-    : dense_(generation, session_id),
-      generation_(&generation),
+    : generation_(&generation),
       session_id_(session_id),
       spec_(spec.clamped_for(generation.params())) {}
+
+void FamilyEncoder::fold_blocks(std::size_t first, std::size_t count,
+                                coding::CodedPacket* out) {
+  const std::size_t m = generation_->params().block_bytes;
+  out->payload.assign(m, 0);
+  fold_ptrs_.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    fold_ptrs_[i] = generation_->block(first + i);
+  }
+  gf::region_axpy_many(out->payload.data(), fold_ptrs_.data(),
+                       out->coefficients.data() + first, count, m);
+}
+
+void FamilyEncoder::dense_into(Rng& rng, coding::CodedPacket* out) {
+  OMNC_SCOPED_TIMER("coding/encode");
+  const coding::CodingParams& params = generation_->params();
+  const std::size_t n = params.generation_blocks;
+  stamp_header(session_id_, generation_->id(), params, out);
+  out->coefficients.resize(n);
+  draw_nonzero(rng, out->coefficients.data(), n);
+  fold_blocks(0, n, out);
+}
 
 void FamilyEncoder::next_packet_into(Rng& rng, coding::CodedPacket* out,
                                      coding::CodedStructure* structure) {
@@ -22,7 +89,7 @@ void FamilyEncoder::next_packet_into(Rng& rng, coding::CodedPacket* out,
   const std::size_t n = params.generation_blocks;
   switch (spec_.family) {
     case CodeFamily::kDense:
-      dense_.next_packet_into(rng, out);
+      dense_into(rng, out);
       *structure = coding::CodedStructure::make_dense();
       return;
     case CodeFamily::kSystematic:
@@ -30,10 +97,7 @@ void FamilyEncoder::next_packet_into(Rng& rng, coding::CodedPacket* out,
         // Original block, uncoded: zero RNG draws, zero GF work.
         const std::uint16_t index =
             static_cast<std::uint16_t>(next_uncoded_++);
-        out->session_id = session_id_;
-        out->generation_id = generation_->id();
-        out->generation_blocks = params.generation_blocks;
-        out->block_bytes = params.block_bytes;
+        stamp_header(session_id_, generation_->id(), params, out);
         out->coefficients.assign(n, 0);
         out->coefficients[index] = 1;
         out->payload.resize(params.block_bytes);
@@ -43,7 +107,7 @@ void FamilyEncoder::next_packet_into(Rng& rng, coding::CodedPacket* out,
         return;
       }
       // Repairs are plain dense packets (n draws).
-      dense_.next_packet_into(rng, out);
+      dense_into(rng, out);
       *structure = coding::CodedStructure::make_dense();
       return;
     case CodeFamily::kBanded: {
@@ -56,26 +120,10 @@ void FamilyEncoder::next_packet_into(Rng& rng, coding::CodedPacket* out,
       const std::size_t positions = n - w + 1;
       const std::uint16_t start =
           static_cast<std::uint16_t>(band_seq_++ % positions);
-      out->session_id = session_id_;
-      out->generation_id = generation_->id();
-      out->generation_blocks = params.generation_blocks;
-      out->block_bytes = params.block_bytes;
+      stamp_header(session_id_, generation_->id(), params, out);
       out->coefficients.assign(n, 0);
-      bool nonzero = false;
-      for (std::size_t i = 0; i < w; ++i) {
-        const std::uint8_t c = rng.next_byte();
-        out->coefficients[start + i] = c;
-        nonzero |= (c != 0);
-      }
-      if (!nonzero) out->coefficients[start] = 1;
-      out->payload.assign(params.block_bytes, 0);
-      fold_ptrs_.resize(w);
-      for (std::size_t i = 0; i < w; ++i) {
-        fold_ptrs_[i] = generation_->block(start + i);
-      }
-      gf::region_axpy_many(out->payload.data(), fold_ptrs_.data(),
-                           out->coefficients.data() + start, w,
-                           params.block_bytes);
+      draw_nonzero(rng, out->coefficients.data() + start, w);
+      fold_blocks(start, w, out);
       *structure = coding::CodedStructure::make_window(
           start, static_cast<std::uint16_t>(w));
       return;
@@ -88,33 +136,31 @@ void FamilyEncoder::next_packet_into(Rng& rng, coding::CodedPacket* out,
 FamilyRecoder::FamilyRecoder(const coding::CodingParams& params,
                              std::uint32_t session_id,
                              std::uint32_t generation_id, const CodeSpec& spec)
-    : dense_(params, session_id, generation_id),
-      params_(params),
+    : params_(params),
       session_id_(session_id),
-      spec_(spec.clamped_for(params)) {
-  scratch_coeffs_.resize(params.generation_blocks);
-}
+      generation_id_(generation_id),
+      spec_(spec.clamped_for(params)),
+      filter_(params.generation_blocks, params.generation_blocks),
+      scratch_coeffs_(params.generation_blocks) {}
 
 bool FamilyRecoder::offer(const coding::CodedPacketView& view,
                           const coding::CodedStructure& structure) {
-  if (structure.dense()) return dense_.offer(view);
-  if (view.generation_id != generation_id()) return false;
-  if (view.generation_blocks != params_.generation_blocks ||
-      view.block_bytes != params_.block_bytes ||
-      view.payload.size() != params_.block_bytes ||
-      !structure.valid_for(view.generation_blocks)) {
+  if (view.generation_id != generation_id_) return false;
+  coding::CodedPacketView dense;
+  if (!dense_view(view, structure, params_, scratch_coeffs_.data(), &dense) ||
+      !dense.dimensions_match(params_)) {
     return false;
   }
-  // Expand the compact coefficients to a dense row for the innovation
-  // filter, which stays the single source of truth for rank.
-  coding::expand_coefficients(structure, view.coefficients,
-                              view.generation_blocks, scratch_coeffs_.data());
-  coding::CodedPacketView dense_view = view;
-  dense_view.coefficients =
-      std::span<const std::uint8_t>(scratch_coeffs_.data(),
-                                    params_.generation_blocks);
-  if (!dense_.offer(dense_view)) return false;
-  if (!spec_.is_dense()) {
+  // The coefficient-only filter stays the single source of truth for rank.
+  // Only an accepted row's bytes are copied — once — into the flat basis
+  // arenas (reset() keeps their capacity, so the steady state re-fills in
+  // place without allocating).
+  if (!filter_.insert(dense.coefficients.data(), nullptr)) return false;
+  basis_coeffs_.insert(basis_coeffs_.end(), dense.coefficients.begin(),
+                       dense.coefficients.end());
+  basis_payloads_.insert(basis_payloads_.end(), dense.payload.begin(),
+                         dense.payload.end());
+  if (!spec_.is_dense() && !structure.dense()) {
     // Keep a verbatim copy so the structure survives this relay hop.
     StoredRow row;
     row.structure = structure;
@@ -125,20 +171,43 @@ bool FamilyRecoder::offer(const coding::CodedPacketView& view,
   return true;
 }
 
+void FamilyRecoder::dense_recode_into(Rng& rng, coding::CodedPacket* out) {
+  OMNC_SCOPED_TIMER("coding/recode");
+  OMNC_ASSERT_MSG(can_send(), "recode with an empty basis");
+  const std::size_t count = filter_.rank();
+  const std::size_t n = params_.generation_blocks;
+  const std::size_t m = params_.block_bytes;
+  stamp_header(session_id_, generation_id_, params_, out);
+  out->coefficients.assign(n, 0);
+  out->payload.assign(m, 0);
+  // Random combination over the basis: exactly rank() draws.
+  multipliers_.resize(count);
+  draw_nonzero(rng, multipliers_.data(), count);
+  // Fold the combination through the fused kernels: 2-4 basis rows per
+  // destination pass instead of re-reading the output row for each source.
+  coeff_srcs_.resize(count);
+  payload_srcs_.resize(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    coeff_srcs_[k] = basis_coeffs_.data() + k * n;
+    payload_srcs_[k] = basis_payloads_.data() + k * m;
+  }
+  gf::region_axpy_many(out->coefficients.data(), coeff_srcs_.data(),
+                       multipliers_.data(), count, n);
+  gf::region_axpy_many(out->payload.data(), payload_srcs_.data(),
+                       multipliers_.data(), count, m);
+}
+
 void FamilyRecoder::recode_into(Rng& rng, coding::CodedPacket* out,
                                 coding::CodedStructure* structure) {
   if (spec_.is_dense() || next_forward_ >= forward_rows_.size()) {
-    dense_.recode_into(rng, out);
+    dense_recode_into(rng, out);
     *structure = coding::CodedStructure::make_dense();
     return;
   }
   // Structure-preserving forwarding: re-emit a stored structured row
   // verbatim, zero RNG draws.
   const StoredRow& row = forward_rows_[next_forward_++];
-  out->session_id = session_id_;
-  out->generation_id = generation_id();
-  out->generation_blocks = params_.generation_blocks;
-  out->block_bytes = params_.block_bytes;
+  stamp_header(session_id_, generation_id_, params_, out);
   out->coefficients.assign(params_.generation_blocks, 0);
   coding::expand_coefficients(
       row.structure,
@@ -149,7 +218,10 @@ void FamilyRecoder::recode_into(Rng& rng, coding::CodedPacket* out,
 }
 
 void FamilyRecoder::reset(std::uint32_t generation_id) {
-  dense_.reset(generation_id);
+  generation_id_ = generation_id;
+  filter_.clear();
+  basis_coeffs_.clear();
+  basis_payloads_.clear();
   forward_rows_.clear();
   next_forward_ = 0;
 }
@@ -158,41 +230,45 @@ void FamilyRecoder::reset(std::uint32_t generation_id) {
 
 FamilyDecoder::FamilyDecoder(const coding::CodingParams& params,
                              std::uint32_t generation_id, const CodeSpec& spec)
-    : params_(params), spec_(spec.clamped_for(params)) {
-  if (spec_.is_dense()) {
-    dense_.emplace(params, generation_id);
+    : params_(params), generation_id_(generation_id) {
+  if (spec.clamped_for(params).is_dense()) {
+    rref_.emplace(params.generation_blocks,
+                  static_cast<std::size_t>(params.generation_blocks) +
+                      params.block_bytes);
     scratch_coeffs_.resize(params.generation_blocks);
   } else {
     structured_.emplace(params, generation_id);
   }
 }
 
+bool FamilyDecoder::dense_offer(const coding::CodedPacketView& view) {
+  OMNC_SCOPED_TIMER("coding/decode");
+  if (view.generation_id != generation_id_) return false;
+  if (!view.dimensions_match(params_)) return false;
+  ++dense_seen_;
+  // Coefficients and payload go straight into the split arenas; a
+  // non-innovative packet's payload is never even read.
+  return rref_->insert(view.coefficients.data(), view.payload.data());
+}
+
 FamilyDecoder::OfferResult FamilyDecoder::offer(
     const coding::CodedPacketView& view,
     const coding::CodedStructure& structure) {
   OfferResult result;
-  if (dense_) {
-    if (structure.dense()) {
-      result.innovative = dense_->offer(view);
-    } else {
-      // A structured packet reaching a dense-spec decoder (mixed-family
-      // peers): expand and decode; the structural fast path is lost but
-      // correctness is not.
-      if (view.generation_id != dense_->generation_id() ||
-          !structure.valid_for(view.generation_blocks) ||
-          view.generation_blocks != params_.generation_blocks ||
-          view.block_bytes != params_.block_bytes) {
-        return result;
-      }
-      coding::expand_coefficients(structure, view.coefficients,
-                                  view.generation_blocks,
-                                  scratch_coeffs_.data());
-      coding::CodedPacketView dense_view = view;
-      dense_view.coefficients = std::span<const std::uint8_t>(
-          scratch_coeffs_.data(), params_.generation_blocks);
-      result.innovative = dense_->offer(dense_view);
+  if (rref_) {
+    // A structured packet reaching a dense-spec decoder (mixed-family
+    // peers) is expanded and decoded densely: the structural fast path is
+    // lost but correctness is not.
+    if (!structure.dense() && view.generation_id != generation_id_) {
+      return result;
     }
-    if (result.innovative) result.pivot = dense_->last_pivot();
+    coding::CodedPacketView dense;
+    if (!dense_view(view, structure, params_, scratch_coeffs_.data(),
+                    &dense)) {
+      return result;
+    }
+    result.innovative = dense_offer(dense);
+    if (result.innovative) result.pivot = rref_->last_insert_pivot();
     return result;
   }
   result.innovative = structured_->offer(view, structure);
@@ -205,41 +281,36 @@ FamilyDecoder::OfferResult FamilyDecoder::offer(
   return result;
 }
 
-std::uint32_t FamilyDecoder::generation_id() const {
-  return dense_ ? dense_->generation_id() : structured_->generation_id();
-}
-
 std::size_t FamilyDecoder::rank() const {
-  return dense_ ? dense_->rank() : structured_->rank();
+  return rref_ ? rref_->rank() : structured_->rank();
 }
 
 bool FamilyDecoder::complete() const {
-  return dense_ ? dense_->complete() : structured_->complete();
+  return rref_ ? rref_->complete() : structured_->complete();
 }
 
 std::size_t FamilyDecoder::packets_seen() const {
-  return dense_ ? dense_->packets_seen() : structured_->packets_seen();
-}
-
-std::vector<std::uint8_t> FamilyDecoder::recover() const {
-  return dense_ ? dense_->recover() : structured_->recover();
-}
-
-std::size_t FamilyDecoder::recovered_size() const {
-  return dense_ ? dense_->recovered_size() : structured_->recovered_size();
+  return rref_ ? dense_seen_ : structured_->packets_seen();
 }
 
 void FamilyDecoder::recover_into(std::span<std::uint8_t> out) const {
-  if (dense_) {
-    dense_->recover_into(out);
-  } else {
+  if (structured_) {
     structured_->recover_into(out);
+    return;
   }
+  OMNC_ASSERT_MSG(complete(), "recover before the generation is decodable");
+  OMNC_ASSERT(out.size() == recovered_size());
+  // In a complete basis every row's coefficient part is a unit vector, so
+  // the row with pivot b is exactly block b: one source-blocked elimination
+  // pass writes the whole generation in place.
+  rref_->materialize_into(out.data());
 }
 
 void FamilyDecoder::reset(std::uint32_t generation_id) {
-  if (dense_) {
-    dense_->reset(generation_id);
+  generation_id_ = generation_id;
+  if (rref_) {
+    rref_->clear();
+    dense_seen_ = 0;
   } else {
     structured_->reset(generation_id);
   }

@@ -1,16 +1,15 @@
-// Family-parameterized encoder / recoder / decoder (DESIGN.md §15).
+// The coding datapath (Sec. 3.1 and Sec. 4; DESIGN.md §7 and §15): the one
+// encoder, recoder and decoder, each parameterized by a CodeSpec.
 //
-// These are the concrete seam behind CodeSpec: NodeRuntime instantiates one
-// of each instead of the raw coding-layer classes, and every call carries a
+// NodeRuntime instantiates one of each, and every call carries a
 // CodedStructure side channel describing how the emitted packet's
 // coefficients were produced (so the wire layer can compress them and the
-// receiving decoder can exploit them).
-//
-// Dense is the reference family: FamilyEncoder/FamilyRecoder/FamilyDecoder
-// with a dense spec delegate to SourceEncoder / Recoder / ProgressiveDecoder
-// with byte-identical outputs and RNG-draw-identical streams, so every
-// pre-family baseline (det-clock traces, goodput snapshots, regression pins)
-// is reproduced exactly.
+// receiving decoder can exploit them).  Dense random linear coding is one
+// branch of each class: the source emits X = R * B, a relay re-encodes a
+// fresh random combination of its innovative basis, and the destination
+// decodes progressively by Gauss–Jordan elimination (RrefAccumulator).
+// Systematic and banded codes decode through the StructuredDecoder instead;
+// each engine is the faster one on its own input.
 //
 // RNG draw counts are a pinned per-family invariant (per emitted packet):
 //   dense encode         — n byte draws;
@@ -24,7 +23,9 @@
 //                          probability (1-1/(n-w+1))^k after k packets);
 //   dense recode         — rank() byte draws;
 //   structured forward   — 0 draws (a stored row re-emitted verbatim).
-// All-zero draws are repaired deterministically (never re-drawn).
+// All-zero draws are repaired deterministically (never re-drawn), so every
+// family consumes a fixed number of draws and det-clock traces stay
+// byte-identical across runs.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +36,8 @@
 #include "codes/code_spec.h"
 #include "codes/structured_decoder.h"
 #include "coding/coded_packet.h"
-#include "coding/decoder.h"
-#include "coding/encoder.h"
 #include "coding/generation.h"
-#include "coding/recoder.h"
+#include "coding/rref.h"
 #include "common/rng.h"
 
 namespace omnc::codes {
@@ -50,52 +49,69 @@ class FamilyEncoder {
   FamilyEncoder(const coding::Generation& generation, std::uint32_t session_id,
                 const CodeSpec& spec);
 
-  /// Emits one packet and its structure.  Dense spec: byte- and draw-
-  /// identical to SourceEncoder::next_packet_into, structure kDense.
-  /// Systematic: the n originals in order (kUncoded), then dense repairs.
-  /// Banded: a sliding-window combination (kWindow) whose start cycles
-  /// deterministically over the n-w+1 positions.
+  /// Emits one packet and its structure, reusing `out`'s capacity.
+  /// Dense: n fresh random coefficients folded over the whole generation
+  /// (kDense).  Systematic: the n originals in order (kUncoded), then dense
+  /// repairs.  Banded: a sliding-window combination (kWindow) whose start
+  /// cycles deterministically over the n-w+1 positions.
   void next_packet_into(Rng& rng, coding::CodedPacket* out,
                         coding::CodedStructure* structure);
 
-  std::uint32_t generation_id() const { return dense_.generation_id(); }
+  std::uint32_t generation_id() const { return generation_->id(); }
   const CodeSpec& spec() const { return spec_; }
 
  private:
-  coding::SourceEncoder dense_;
+  /// A dense packet: n draws, then the fold over every block.
+  void dense_into(Rng& rng, coding::CodedPacket* out);
+  /// payload = sum of out->coefficients[first + i] * block(first + i) over
+  /// `count` blocks, 2-4 source rows per pass over the payload.
+  void fold_blocks(std::size_t first, std::size_t count,
+                   coding::CodedPacket* out);
+
   const coding::Generation* generation_;
   std::uint32_t session_id_;
   CodeSpec spec_;  // clamped
   std::uint32_t next_uncoded_ = 0;
   std::uint32_t band_seq_ = 0;  // banded window-start cycle position
-  std::vector<const std::uint8_t*> fold_ptrs_;  // banded window fold scratch
+  std::vector<const std::uint8_t*> fold_ptrs_;  // fold scratch
 };
 
+/// Relay-side re-encoder (Sec. 4, "Packet and Queue Management").  A relay
+/// accepts a packet only if it is innovative for what it already holds; the
+/// accepted rows are kept as received in two flat insertion-order arenas
+/// beside a coefficient-only RREF innovation filter.  An innovative packet's
+/// bytes are copied exactly once (into the arenas), a non-innovative
+/// packet's payload is never read, and the steady state allocates nothing.
 class FamilyRecoder {
  public:
   FamilyRecoder(const coding::CodingParams& params, std::uint32_t session_id,
                 std::uint32_t generation_id, const CodeSpec& spec);
 
   /// Considers an incoming packet (with its structure side channel).
-  /// Returns true iff it was innovative.  Non-dense specs additionally keep
-  /// a verbatim copy of innovative *structured* rows for structure-
+  /// Returns true iff it was innovative.  Packets of other generations or
+  /// with mismatched dimensions are rejected.  Non-dense specs additionally
+  /// keep a verbatim copy of innovative *structured* rows for structure-
   /// preserving forwarding.
   bool offer(const coding::CodedPacketView& view,
              const coding::CodedStructure& structure);
 
-  bool can_send() const { return dense_.can_send(); }
-  std::size_t rank() const { return dense_.rank(); }
-  bool is_full() const { return dense_.is_full(); }
-  std::uint32_t generation_id() const { return dense_.generation_id(); }
+  /// True once the relay holds an innovative packet of its generation.
+  bool can_send() const { return filter_.rank() > 0; }
+  std::size_t rank() const { return filter_.rank(); }
+  bool is_full() const { return filter_.complete(); }
+  std::uint32_t generation_id() const { return generation_id_; }
 
-  /// Emits one packet.  Dense spec: delegates to Recoder::recode_into
-  /// byte-for-byte.  Non-dense: stored structured rows are forwarded
+  /// Emits one packet, reusing `out`'s capacity.  Requires can_send().
+  /// Dense spec: a fresh random combination of the basis (the paper's
+  /// re-encoding).  Non-dense: stored structured rows are forwarded
   /// verbatim first (zero draws, structure preserved, so the compression
   /// and the downstream structured fast paths survive one relay hop); once
-  /// drained, falls back to dense recoding over the full basis.
+  /// drained, falls back to dense re-encoding over the full basis.
   void recode_into(Rng& rng, coding::CodedPacket* out,
                    coding::CodedStructure* structure);
 
+  /// Discards the basis and moves to a new generation (triggered by an
+  /// ACK or by overhearing a higher generation ID).
   void reset(std::uint32_t generation_id);
 
  private:
@@ -105,15 +121,27 @@ class FamilyRecoder {
     std::vector<std::uint8_t> payload;
   };
 
-  coding::Recoder dense_;
+  void dense_recode_into(Rng& rng, coding::CodedPacket* out);
+
   coding::CodingParams params_;
   std::uint32_t session_id_;
+  std::uint32_t generation_id_;
   CodeSpec spec_;
+  coding::RrefAccumulator filter_;            // coefficients only
+  std::vector<std::uint8_t> basis_coeffs_;    // rank x n, as received
+  std::vector<std::uint8_t> basis_payloads_;  // rank x m, as received
+  std::vector<std::uint8_t> multipliers_;
+  std::vector<const std::uint8_t*> coeff_srcs_;
+  std::vector<const std::uint8_t*> payload_srcs_;
   std::vector<StoredRow> forward_rows_;  // non-dense spec only
   std::size_t next_forward_ = 0;
-  std::vector<std::uint8_t> scratch_coeffs_;  // dense expansion for offers
+  std::vector<std::uint8_t> scratch_coeffs_;  // structured-row expansion
 };
 
+/// Destination-side progressive decoder (Sec. 4, "Progressive decoding").
+/// Every received packet is absorbed on arrival, so independence checking
+/// and decoding happen on the fly; non-innovative packets reduce to zero and
+/// are discarded without their payload being read.
 class FamilyDecoder {
  public:
   FamilyDecoder(const coding::CodingParams& params,
@@ -125,29 +153,40 @@ class FamilyDecoder {
     bool uncoded = false; // landed via the systematic zero-work fast path
   };
 
+  /// Absorbs a packet.  Wrong-generation or geometry-mismatched packets are
+  /// rejected.  The view only needs to stay valid for the call.
   OfferResult offer(const coding::CodedPacketView& view,
                     const coding::CodedStructure& structure);
 
-  std::uint32_t generation_id() const;
+  std::uint32_t generation_id() const { return generation_id_; }
   std::size_t rank() const;
   bool complete() const;
+  /// Packets of this generation offered so far (for redundancy metrics).
   std::size_t packets_seen() const;
 
-  std::vector<std::uint8_t> recover() const;
-  std::size_t recovered_size() const;
+  std::size_t recovered_size() const { return params_.generation_bytes(); }
+  /// Writes the decoded generation into `out` (exactly recovered_size()
+  /// bytes) in one elimination pass.  Requires complete().
   void recover_into(std::span<std::uint8_t> out) const;
+
+  /// Drops all state and retargets a new generation.
   void reset(std::uint32_t generation_id);
 
   /// Structured-decoder statistics; nullptr under the dense spec.
   const StructuredDecoder::Stats* structured_stats() const;
 
  private:
+  bool dense_offer(const coding::CodedPacketView& view);
+
   coding::CodingParams params_;
-  CodeSpec spec_;
-  // Exactly one of the two is engaged, by spec.
-  std::optional<coding::ProgressiveDecoder> dense_;
+  std::uint32_t generation_id_;
+  // Exactly one engine is engaged, by spec: the Gauss–Jordan RREF over
+  // [coefficients | payload] rows for dense, the structured decoder
+  // otherwise.
+  std::optional<coding::RrefAccumulator> rref_;
+  std::size_t dense_seen_ = 0;
   std::optional<StructuredDecoder> structured_;
-  std::vector<std::uint8_t> scratch_coeffs_;  // dense expansion fallback
+  std::vector<std::uint8_t> scratch_coeffs_;  // structured-row expansion
 };
 
 }  // namespace omnc::codes

@@ -192,12 +192,6 @@ void StructuredDecoder::recover_into(std::span<std::uint8_t> out) const {
   }
 }
 
-std::vector<std::uint8_t> StructuredDecoder::recover() const {
-  std::vector<std::uint8_t> out(recovered_size());
-  recover_into(std::span<std::uint8_t>(out));
-  return out;
-}
-
 void StructuredDecoder::reset(std::uint32_t generation_id) {
   generation_id_ = generation_id;
   rank_ = 0;

@@ -1,17 +1,17 @@
 // Structured decoder for systematic and banded code families (DESIGN.md §15).
 //
-// The dense ProgressiveDecoder keeps its basis in full reduced row-echelon
-// form: every insert back-substitutes the new pivot out of every existing
-// row, so insert cost is O(rank * g) coefficient bytes regardless of row
-// structure.  Structured rows make that a waste — an uncoded systematic
-// original is already a unit vector, and a banded row only ever has
-// coefficients inside a narrow window.  This decoder is the CBD-style
-// alternative: the basis is kept merely *upper-triangular* (one row per head
-// column, head coefficient normalized to 1, no back-substitution at insert),
-// each row remembers its live coefficient window [begin, end), and all
-// elimination work is confined to window overlaps.  Recovery runs one
-// back-substitution sweep from the last pivot to the first, again touching
-// only each row's window.
+// The dense branch of FamilyDecoder keeps its basis (an RrefAccumulator)
+// in full reduced row-echelon form: every insert back-substitutes the new
+// pivot out of every existing row, so insert cost is O(rank * g)
+// coefficient bytes regardless of row structure.  Structured rows make that
+// a waste — an uncoded systematic original is already a unit vector, and a
+// banded row only ever has coefficients inside a narrow window.  This
+// decoder is the CBD-style alternative: the basis is kept merely
+// *upper-triangular* (one row per head column, head coefficient normalized
+// to 1, no back-substitution at insert), each row remembers its live
+// coefficient window [begin, end), and all elimination work is confined to
+// window overlaps.  Recovery runs one back-substitution sweep from the last
+// pivot to the first, again touching only each row's window.
 //
 // The two structural fast paths the code families buy:
 //  - an uncoded original landing on a free pivot is a pure payload memcpy —
@@ -54,7 +54,6 @@ class StructuredDecoder {
   std::size_t rank() const { return rank_; }
   bool complete() const { return rank_ == params_.generation_blocks; }
   std::size_t packets_seen() const { return stats_.offered; }
-  std::size_t packets_innovative() const { return stats_.innovative; }
 
   /// Pivot column claimed by the last innovative offer, -1 otherwise.
   int last_pivot() const { return last_pivot_; }
@@ -63,7 +62,6 @@ class StructuredDecoder {
   /// bytes, block-major).  Requires complete().
   void recover_into(std::span<std::uint8_t> out) const;
 
-  std::vector<std::uint8_t> recover() const;
   std::size_t recovered_size() const { return params_.generation_bytes(); }
 
   /// Drops all state and retargets a new generation.

@@ -135,31 +135,6 @@ bool RrefAccumulator::insert(const std::vector<std::uint8_t>& row) {
                                                : nullptr);
 }
 
-bool RrefAccumulator::would_be_innovative(
-    const std::uint8_t* coefficients) const {
-  std::uint8_t* sc = scratch_.data();
-  std::memcpy(sc, coefficients, pivot_cols_);
-  // Same order-independence argument as in insert: gather the factors, then
-  // one batched sweep over the coefficient blocks only.
-  elim_srcs_.resize(rank_);
-  elim_factors_.resize(rank_);
-  std::size_t active = 0;
-  for (const BasisRow& basis : rows_) {
-    const std::uint8_t factor = sc[basis.pivot];
-    if (factor != 0) {
-      elim_srcs_[active] = basis_row(basis.index);
-      elim_factors_[active] = factor;
-      ++active;
-    }
-  }
-  if (active > 0) {
-    gf::region_axpy_many(sc, elim_srcs_.data(), elim_factors_.data(), active,
-                         pivot_cols_);
-  }
-  return std::any_of(sc, sc + pivot_cols_,
-                     [](std::uint8_t b) { return b != 0; });
-}
-
 const std::uint8_t* RrefAccumulator::coefficients_for_pivot(
     std::size_t pivot) const {
   OMNC_ASSERT(pivot < pivot_cols_);
@@ -177,35 +152,6 @@ const std::uint8_t* RrefAccumulator::payload_for_pivot(
   return materialize(static_cast<std::size_t>(index));
 }
 
-void RrefAccumulator::materialize_payloads() const {
-  if (payload_bytes_ == 0) return;
-  bool any_stale = false;
-  for (std::size_t i = 0; i < rank_; ++i) {
-    if (!cache_valid_[i]) {
-      any_stale = true;
-      std::memset(cache_.data() + i * payload_bytes_, 0, payload_bytes_);
-    }
-  }
-  if (!any_stale) return;
-  OMNC_SCOPED_TIMER("coding/rref_materialize");
-  src_ptrs_.resize(rank_);
-  for (std::size_t k = 0; k < rank_; ++k) src_ptrs_[k] = raw_row(k);
-  // Source-blocked sweep: each group of <=4 raw payloads is applied to every
-  // stale destination row before moving on, so the group stays resident in
-  // cache for rank_ destination passes (the per-row path instead re-streams
-  // the entire raw arena for each destination).
-  for (std::size_t k = 0; k < rank_; k += 4) {
-    const std::size_t group = std::min<std::size_t>(4, rank_ - k);
-    for (std::size_t i = 0; i < rank_; ++i) {
-      if (cache_valid_[i]) continue;
-      const std::uint8_t* u = basis_row(i) + pivot_cols_ + k;
-      gf::region_axpy_many(cache_.data() + i * payload_bytes_,
-                           src_ptrs_.data() + k, u, group, payload_bytes_);
-    }
-  }
-  for (std::size_t i = 0; i < rank_; ++i) cache_valid_[i] = 1;
-}
-
 void RrefAccumulator::materialize_into(std::uint8_t* out) const {
   OMNC_ASSERT(payload_bytes_ > 0);
   OMNC_ASSERT(complete());
@@ -213,10 +159,11 @@ void RrefAccumulator::materialize_into(std::uint8_t* out) const {
   std::memset(out, 0, pivot_cols_ * payload_bytes_);
   src_ptrs_.resize(rank_);
   for (std::size_t k = 0; k < rank_; ++k) src_ptrs_[k] = raw_row(k);
-  // Same source-blocked sweep as materialize_payloads, but the destination
-  // for pivot p is out + p * payload_bytes_ instead of the cache row — the
-  // caller gets the concatenated generation without a second copy.  The
-  // cache is left untouched (rows already materialized stay valid).
+  // Source-blocked sweep: each group of <=4 raw payloads is applied to
+  // every destination before moving on, so the group stays cache-hot.  The
+  // destination for pivot p is out + p * payload_bytes_, so the caller gets
+  // the concatenated generation without a second copy.  The cache is left
+  // untouched (rows already materialized stay valid).
   for (std::size_t k = 0; k < rank_; k += 4) {
     const std::size_t group = std::min<std::size_t>(4, rank_ - k);
     for (std::size_t p = 0; p < pivot_cols_; ++p) {

@@ -10,7 +10,7 @@
 // transform row per basis row — the GF(256) combination of raw payloads that
 // the eliminated payload *would* be.  The expensive payload-width
 // back-substitution is deferred until a decoded payload is actually read
-// (payload_for_pivot / the decoder's decoded_block / recover), where it runs
+// (payload_for_pivot, or the decoder's recover_into), where it runs
 // as one batched elimination through the fused region_axpy2/4 kernels.
 //
 // Why this wins: rejecting a non-innovative row touches coefficients only
@@ -61,10 +61,6 @@ class RrefAccumulator {
   /// row_bytes() bytes.
   bool insert(const std::vector<std::uint8_t>& row);
 
-  /// Checks innovation without mutating the basis: reduces a scratch copy of
-  /// just the coefficient part (no allocation; reuses a member buffer).
-  bool would_be_innovative(const std::uint8_t* coefficients) const;
-
   /// Pivot column claimed by the most recent successful insert(), or -1 if
   /// no insert has succeeded since construction/clear() or the last offer
   /// was rejected.  Feeds the per-packet "pv" trace field.
@@ -78,13 +74,6 @@ class RrefAccumulator {
   /// if the row is absent or payload_bytes() == 0.  Materializes the row on
   /// demand (cached until a later insert touches the row); logically const.
   const std::uint8_t* payload_for_pivot(std::size_t pivot) const;
-
-  /// Materializes every stale row in one source-blocked pass: the raw
-  /// payloads are walked in groups of up to four that stay cache-hot across
-  /// all destination rows, instead of streaming the whole raw arena once per
-  /// row.  Bulk readers (the decoder's recover) call this before reading;
-  /// results are identical to per-row materialization.  Logically const.
-  void materialize_payloads() const;
 
   /// Full-rank bulk read: eliminates every payload directly into `out`
   /// (pivot_cols() * payload_bytes() bytes, pivot-major), bypassing the
@@ -128,10 +117,10 @@ class RrefAccumulator {
   std::vector<std::uint8_t> raw_;    // rank x payload_bytes, as received
   mutable std::vector<std::uint8_t> cache_;        // rank x payload_bytes
   mutable std::vector<std::uint8_t> cache_valid_;  // per row slot, 0/1
-  mutable std::vector<std::uint8_t> scratch_;      // one basis-arena row
-  mutable std::vector<const std::uint8_t*> elim_srcs_;   // batched sweep srcs
-  mutable std::vector<std::uint8_t> elim_factors_;       // batched sweep factors
-  mutable std::vector<std::uint8_t*> elim_dsts_;         // back-subst targets
+  std::vector<std::uint8_t> scratch_;              // one basis-arena row
+  std::vector<const std::uint8_t*> elim_srcs_;     // batched sweep srcs
+  std::vector<std::uint8_t> elim_factors_;         // batched sweep factors
+  std::vector<std::uint8_t*> elim_dsts_;           // back-subst targets
   mutable std::vector<const std::uint8_t*> src_ptrs_;    // raw-row pointers
 };
 

@@ -70,34 +70,15 @@ bool NodeRuntime::can_send(std::uint32_t live_generation) const {
   return false;  // unreachable
 }
 
-coding::CodedPacket NodeRuntime::next_packet(
-    Rng& rng, coding::CodedStructure* structure) {
-  coding::CodedPacket out;
-  next_packet_into(rng, &out, structure);
-  return out;
-}
-
 void NodeRuntime::next_packet_into(Rng& rng, coding::CodedPacket* out,
                                    coding::CodedStructure* structure) {
-  coding::CodedStructure local;
-  coding::CodedStructure* sink = structure ? structure : &local;
   if (role_ == Role::kSource) {
     OMNC_ASSERT(encoder_.has_value());
-    encoder_->next_packet_into(rng, out, sink);
+    encoder_->next_packet_into(rng, out, structure);
     return;
   }
   OMNC_ASSERT(role_ == Role::kRelay);
-  recoder_->recode_into(rng, out, sink);
-}
-
-NodeRuntime::ReceiveOutcome NodeRuntime::receive(
-    const coding::CodedPacket& packet) {
-  return receive(packet.as_view(), coding::CodedStructure::make_dense());
-}
-
-NodeRuntime::ReceiveOutcome NodeRuntime::receive(
-    const coding::CodedPacketView& view) {
-  return receive(view, coding::CodedStructure::make_dense());
+  recoder_->recode_into(rng, out, structure);
 }
 
 NodeRuntime::ReceiveOutcome NodeRuntime::receive(
@@ -161,11 +142,6 @@ bool NodeRuntime::flush_to(std::uint32_t generation_id) {
   if (recoder_->generation_id() == generation_id) return false;
   recoder_->reset(generation_id);
   return true;
-}
-
-std::vector<std::uint8_t> NodeRuntime::recover() const {
-  OMNC_ASSERT(role_ == Role::kDestination);
-  return decoder_->recover();
 }
 
 std::size_t NodeRuntime::recovered_size() const {

@@ -62,16 +62,11 @@ class NodeRuntime {
   bool can_send(std::uint32_t live_generation) const;
 
   /// Emits one coded packet from the source encoder or the relay's recode
-  /// basis.  Requires can_send().  `structure` (optional) receives the
-  /// packet's coefficient structure for wire compression; dense-spec
-  /// emissions are byte- and draw-identical to the pre-family pipeline.
-  coding::CodedPacket next_packet(Rng& rng,
-                                  coding::CodedStructure* structure = nullptr);
-
-  /// Allocation-free variant: fills `out` reusing its vectors' capacity.
-  /// Identical output bytes (and rng draw sequence) to next_packet().
+  /// basis into `out`, reusing its capacity.  Requires can_send().
+  /// `structure` receives the packet's coefficient structure for wire
+  /// compression.
   void next_packet_into(Rng& rng, coding::CodedPacket* out,
-                        coding::CodedStructure* structure = nullptr);
+                        coding::CodedStructure* structure);
 
   struct ReceiveOutcome {
     bool innovative = false;
@@ -84,12 +79,7 @@ class NodeRuntime {
   };
 
   /// Absorbs a packet of this node's current generation (relay or
-  /// destination).  The overloads without a structure treat the packet as
-  /// dense.
-  ReceiveOutcome receive(const coding::CodedPacket& packet);
-  ReceiveOutcome receive(const coding::CodedPacketView& view);
-
-  /// Zero-copy family-aware variant: the view's coefficient span holds the
+  /// destination).  Zero-copy: the view's coefficient span holds the
   /// structure's explicit bytes (all n for dense, the window for banded,
   /// empty for an uncoded original), exactly as DataFrameView::parse yields.
   ReceiveOutcome receive(const coding::CodedPacketView& view,
@@ -120,12 +110,10 @@ class NodeRuntime {
 
   // --- destination lifecycle --------------------------------------------
 
-  /// The recovered plaintext of the completed generation.
-  std::vector<std::uint8_t> recover() const;
-  /// recover() byte count for this session's coding geometry.
+  /// Byte count of a recovered generation for this session's geometry.
   std::size_t recovered_size() const;
-  /// Allocation-free recovery into a caller-owned buffer of exactly
-  /// recovered_size() bytes; byte-identical to recover().
+  /// Writes the recovered plaintext of the completed generation into a
+  /// caller-owned buffer of exactly recovered_size() bytes.
   void recover_into(std::span<std::uint8_t> out) const;
   /// Moves the decoder to the next generation; stale packets are rejected by
   /// generation id from now on.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "common/assert.h"
@@ -221,11 +222,11 @@ void SessionEngine::on_slot(sim::Time now) {
       if (wanted <= 0) continue;
       for (int k = 0; k < wanted; ++k) {
         net::Frame frame;
-        coding::CodedPacket packet = node.next_packet(rng_, &frame.structure);
+        node.next_packet_into(rng_, &tx_packet_, &frame.structure);
         frame.from = graph.node_id(local);
         frame.to = net::kBroadcast;
         frame.bytes = std::make_shared<const std::vector<std::uint8_t>>(
-            packet.serialize());
+            tx_packet_.serialize());
         if (!mac_->enqueue(std::move(frame))) {
           break;  // queue full (MacTap counted the drop); stop for this slot
         }
@@ -318,11 +319,12 @@ void SessionEngine::on_receive_frame(net::NodeId rx, const net::Frame& frame) {
   if (rx_local == graph.destination && outcome.generation_complete) {
     // End-to-end integrity: the progressively decoded generation must be
     // byte-identical to what the source encoded.
-    const auto recovered = node.recover();
+    recover_buf_.resize(node.recovered_size());
+    node.recover_into(std::span<std::uint8_t>(recover_buf_));
     const NodeRuntime& source =
         state.runtimes[static_cast<std::size_t>(graph.source)];
     OMNC_ASSERT_MSG(
-        std::equal(recovered.begin(), recovered.end(),
+        std::equal(recover_buf_.begin(), recover_buf_.end(),
                    source.generation().bytes().begin()),
         "decoded generation does not match the source data");
     const double ack_time = simulator_.now() + state.ack_delay_s;

@@ -129,6 +129,8 @@ class SessionEngine {
   std::vector<Session> sessions_;
   MetricsBus bus_;
   MacTap mac_tap_;
+  coding::CodedPacket tx_packet_;          // reused by every emission
+  std::vector<std::uint8_t> recover_buf_;  // reused by every decode check
 };
 
 }  // namespace omnc::protocols

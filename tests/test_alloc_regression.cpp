@@ -15,11 +15,10 @@
 #include <span>
 #include <vector>
 
+#include "codes/family_runtime.h"
 #include "coding/coded_packet.h"
-#include "coding/decoder.h"
-#include "coding/encoder.h"
 #include "coding/generation.h"
-#include "coding/recoder.h"
+#include "coding_test_util.h"
 #include "common/rng.h"
 #include "wire/frame.h"
 
@@ -80,11 +79,12 @@ std::vector<std::vector<std::uint8_t>> generation_frames(
     const coding::CodingParams& params, std::uint32_t generation_id) {
   const coding::Generation gen =
       coding::Generation::synthetic(generation_id, params, 7);
-  coding::SourceEncoder encoder(gen, 1);
+  codes::FamilyEncoder encoder(gen, 1, codes::CodeSpec::dense());
   Rng rng(100 + generation_id);
   std::vector<std::vector<std::uint8_t>> wires;
   for (int i = 0; i < params.generation_blocks + 4; ++i) {
-    wire::Frame frame = wire::make_coded_data(encoder.next_packet(rng));
+    wire::Frame frame =
+        wire::make_coded_data(testing_util::next_packet(encoder, rng));
     frame.trace_origin = 1;
     frame.trace_seq = static_cast<std::uint32_t>(i + 1);
     wires.push_back(frame.serialize());
@@ -97,7 +97,7 @@ TEST(AllocRegression, SteadyStateDecodePathIsAllocationFree) {
   const auto warmup = generation_frames(params, 0);
   const auto steady = generation_frames(params, 1);
 
-  coding::ProgressiveDecoder decoder(params, 0);
+  codes::FamilyDecoder decoder(params, 0, codes::CodeSpec::dense());
   std::vector<std::uint8_t> recovered(params.generation_bytes());
   bool parsed_ok = true;
   bool completed = false;
@@ -110,7 +110,7 @@ TEST(AllocRegression, SteadyStateDecodePathIsAllocationFree) {
         parsed_ok = false;
         return;
       }
-      decoder.offer(view.packet);
+      decoder.offer(view.packet, view.structure);
       if (decoder.complete()) {
         completed = true;
         break;
@@ -146,8 +146,9 @@ TEST(AllocRegression, SteadyStateRelayPathIsAllocationFree) {
   const auto warmup = generation_frames(params, 0);
   const auto steady = generation_frames(params, 1);
 
-  coding::Recoder recoder(params, 1, 0);
+  codes::FamilyRecoder recoder(params, 1, 0, codes::CodeSpec::dense());
   wire::Frame tx;
+  coding::CodedStructure tx_structure;
   tx.type = wire::FrameType::kCodedData;
   std::vector<std::uint8_t> tx_bytes;
   Rng recode_rng(9);
@@ -160,11 +161,11 @@ TEST(AllocRegression, SteadyStateRelayPathIsAllocationFree) {
         parsed_ok = false;
         return;
       }
-      recoder.offer(view.packet);
+      recoder.offer(view.packet, view.structure);
       if (recoder.can_send()) {
         // The relay transmit path: recode from the basis arenas into the
         // reused packet, serialize into the reused buffer.
-        recoder.recode_into(recode_rng, &tx.packet);
+        recoder.recode_into(recode_rng, &tx.packet, &tx_structure);
         tx.session_id = tx.packet.session_id;
         tx.trace_origin = 2;
         tx.trace_seq = 1;

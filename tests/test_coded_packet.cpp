@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "coding/encoder.h"
+#include "codes/family_runtime.h"
+#include "coding_test_util.h"
 #include "common/rng.h"
 
 namespace omnc::coding {
@@ -73,10 +74,10 @@ TEST(CodedPacket, DimensionsMatch) {
 TEST(CodedPacket, EncoderPacketsRoundTripOnTheWire) {
   CodingParams params{6, 48};
   const Generation gen = Generation::synthetic(1, params, 77);
-  SourceEncoder encoder(gen, 5);
+  codes::FamilyEncoder encoder(gen, 5, codes::CodeSpec::dense());
   Rng rng(3);
   for (int i = 0; i < 10; ++i) {
-    const CodedPacket pkt = encoder.next_packet(rng);
+    const CodedPacket pkt = testing_util::next_packet(encoder, rng);
     CodedPacket parsed;
     ASSERT_TRUE(CodedPacket::parse(pkt.serialize(), &parsed));
     EXPECT_EQ(parsed.coefficients, pkt.coefficients);

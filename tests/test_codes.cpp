@@ -21,11 +21,12 @@
 #include "codes/code_spec.h"
 #include "codes/structured_decoder.h"
 #include "coding/coded_packet.h"
-#include "coding/decoder.h"
 #include "coding/generation.h"
+#include "coding_test_util.h"
 #include "common/rng.h"
 #include "emu/loopback_transport.h"
 #include "emu/session_mux.h"
+#include "galois/gf256.h"
 #include "galois/region.h"
 #include "net/topology.h"
 #include "opt/rate_control.h"
@@ -397,7 +398,7 @@ TEST(Families, MixedFamilyPeersInteroperate) {
       encoder.next_packet_into(rng, &packet, &structure);
       dense_decoder.offer(slice_view(packet, structure), structure);
     }
-    EXPECT_TRUE(same_bytes(dense_decoder.recover(), gen.bytes()));
+    EXPECT_TRUE(same_bytes(testing_util::recover(dense_decoder), gen.bytes()));
   }
   {  // dense packets into a structured (banded-spec) decoder
     FamilyEncoder encoder(gen, 0, CodeSpec::dense());
@@ -408,28 +409,41 @@ TEST(Families, MixedFamilyPeersInteroperate) {
       encoder.next_packet_into(rng, &packet, &structure);
       banded_decoder.offer(slice_view(packet, structure), structure);
     }
-    EXPECT_TRUE(same_bytes(banded_decoder.recover(), gen.bytes()));
+    EXPECT_TRUE(same_bytes(testing_util::recover(banded_decoder), gen.bytes()));
   }
 }
 
-// The dense family must stay byte- and draw-identical to the raw
-// SourceEncoder/ProgressiveDecoder pipeline it wraps.
-TEST(Families, DenseFamilyMatchesReferencePipeline) {
+// The dense family is X = R * B (Sec. 3.1): each packet's coefficients are
+// the next n byte draws of the rng, and its payload is the GF(2^8)
+// combination of the blocks by those coefficients.
+TEST(Families, DenseFamilyIsReferenceCombination) {
   const coding::CodingParams params{10, 40};
   const coding::Generation gen = coding::Generation::synthetic(0, params, 6);
   FamilyEncoder family(gen, 0, CodeSpec::dense());
-  coding::SourceEncoder reference(gen, 0);
-  Rng family_rng(33), reference_rng(33);
+  Rng family_rng(33), draws_rng(33);
   coding::CodedPacket packet;
   coding::CodedStructure structure;
   for (int i = 0; i < 24; ++i) {
     family.next_packet_into(family_rng, &packet, &structure);
-    const coding::CodedPacket expected = reference.next_packet(reference_rng);
     EXPECT_TRUE(structure.dense());
-    EXPECT_EQ(packet.coefficients, expected.coefficients);
-    EXPECT_EQ(packet.payload, expected.payload);
+    ASSERT_EQ(packet.coefficients.size(), params.generation_blocks);
+    std::vector<std::uint8_t> drawn(params.generation_blocks);
+    for (auto& c : drawn) c = draws_rng.next_byte();
+    if (std::all_of(drawn.begin(), drawn.end(),
+                    [](std::uint8_t c) { return c == 0; })) {
+      drawn[0] = 1;
+    }
+    EXPECT_EQ(packet.coefficients, drawn);
+    std::vector<std::uint8_t> expected(params.block_bytes, 0);
+    for (std::size_t b = 0; b < params.generation_blocks; ++b) {
+      for (std::size_t j = 0; j < params.block_bytes; ++j) {
+        expected[j] = gf::add(
+            expected[j], gf::mul(packet.coefficients[b], gen.block(b)[j]));
+      }
+    }
+    EXPECT_EQ(packet.payload, expected) << "packet " << i;
   }
-  EXPECT_EQ(family_rng.next_u64(), reference_rng.next_u64());
+  EXPECT_EQ(family_rng.next_u64(), draws_rng.next_u64());
 }
 
 // --- every supported GF backend decodes byte-exactly ----------------------
@@ -462,7 +476,7 @@ TEST(Families, AllFamiliesByteExactOnEveryBackend) {
         if (loss_rng.next_double() < 0.2) continue;
         decoder.offer(slice_view(packet, structure), structure);
       }
-      EXPECT_TRUE(same_bytes(decoder.recover(), gen.bytes()))
+      EXPECT_TRUE(same_bytes(testing_util::recover(decoder), gen.bytes()))
           << gf::backend_name(backend) << " " << spec.selector();
     }
   }

@@ -6,13 +6,20 @@
 #include <tuple>
 #include <vector>
 
-#include "coding/decoder.h"
-#include "coding/encoder.h"
-#include "coding/recoder.h"
+#include "codes/family_runtime.h"
+#include "coding_test_util.h"
 #include "common/rng.h"
 
-namespace omnc::coding {
+namespace omnc::codes {
 namespace {
+
+using coding::CodedPacket;
+using coding::CodingParams;
+using coding::Generation;
+using testing_util::next_packet;
+using testing_util::offer;
+using testing_util::recode;
+using testing_util::recover;
 
 // (loss probability, number of parallel relays)
 class LossyRelayRoundTrip
@@ -22,33 +29,34 @@ TEST_P(LossyRelayRoundTrip, DecodesThroughLossyDiamond) {
   const auto [loss, relays] = GetParam();
   CodingParams params{8, 40};
   const Generation gen = Generation::synthetic(0, params, 1000);
-  SourceEncoder encoder(gen, 0);
+  FamilyEncoder encoder(gen, 0, CodeSpec::dense());
   Rng rng(static_cast<std::uint64_t>(loss * 1000) + relays);
 
-  std::vector<std::unique_ptr<Recoder>> relay_state;
+  std::vector<std::unique_ptr<FamilyRecoder>> relay_state;
   for (int r = 0; r < relays; ++r) {
-    relay_state.push_back(std::make_unique<Recoder>(params, 0, 0));
+    relay_state.push_back(
+        std::make_unique<FamilyRecoder>(params, 0, 0, CodeSpec::dense()));
   }
-  ProgressiveDecoder decoder(params, 0);
+  FamilyDecoder decoder(params, 0, CodeSpec::dense());
 
   int slots = 0;
   const int max_slots = 100000;
   while (!decoder.complete() && slots < max_slots) {
     ++slots;
     // Source broadcast: each relay independently receives.
-    const CodedPacket src_pkt = encoder.next_packet(rng);
+    const CodedPacket src_pkt = next_packet(encoder, rng);
     for (auto& relay : relay_state) {
-      if (!rng.chance(loss)) relay->offer(src_pkt);
+      if (!rng.chance(loss)) offer(*relay, src_pkt);
     }
     // Each relay broadcast: destination independently receives.
     for (auto& relay : relay_state) {
       if (relay->can_send() && !rng.chance(loss)) {
-        decoder.offer(relay->recode(rng));
+        offer(decoder, recode(*relay, rng));
       }
     }
   }
   ASSERT_TRUE(decoder.complete()) << "loss=" << loss << " relays=" << relays;
-  const auto recovered = decoder.recover();
+  const auto recovered = recover(decoder);
   EXPECT_TRUE(std::equal(recovered.begin(), recovered.end(),
                          gen.bytes().begin()));
 }
@@ -63,21 +71,21 @@ TEST(CodingRoundTrip, ParallelRelaysContributeIndependentInformation) {
   // subsets of source packets can jointly deliver more than either alone.
   CodingParams params{6, 16};
   const Generation gen = Generation::synthetic(0, params, 7);
-  SourceEncoder encoder(gen, 0);
+  FamilyEncoder encoder(gen, 0, CodeSpec::dense());
   Rng rng(99);
 
-  Recoder relay_u(params, 0, 0);
-  Recoder relay_v(params, 0, 0);
+  FamilyRecoder relay_u(params, 0, 0, CodeSpec::dense());
+  FamilyRecoder relay_v(params, 0, 0, CodeSpec::dense());
   // u gets packets 1..3, v gets packets 4..6 (disjoint subsets).
-  for (int i = 0; i < 3; ++i) relay_u.offer(encoder.next_packet(rng));
-  for (int i = 0; i < 3; ++i) relay_v.offer(encoder.next_packet(rng));
+  for (int i = 0; i < 3; ++i) offer(relay_u, next_packet(encoder, rng));
+  for (int i = 0; i < 3; ++i) offer(relay_v, next_packet(encoder, rng));
   ASSERT_EQ(relay_u.rank(), 3u);
   ASSERT_EQ(relay_v.rank(), 3u);
 
-  ProgressiveDecoder decoder(params, 0);
+  FamilyDecoder decoder(params, 0, CodeSpec::dense());
   for (int i = 0; i < 30; ++i) {
-    decoder.offer(relay_u.recode(rng));
-    decoder.offer(relay_v.recode(rng));
+    offer(decoder, recode(relay_u, rng));
+    offer(decoder, recode(relay_v, rng));
   }
   // Jointly they span the full 6 dimensions with overwhelming probability.
   EXPECT_TRUE(decoder.complete());
@@ -88,14 +96,14 @@ TEST(CodingRoundTrip, ReencodingRefreshesCoefficients) {
   // vector (that is the point of "trading structure for randomness").
   CodingParams params{4, 8};
   const Generation gen = Generation::synthetic(0, params, 3);
-  SourceEncoder encoder(gen, 0);
+  FamilyEncoder encoder(gen, 0, CodeSpec::dense());
   Rng rng(5);
-  Recoder relay(params, 0, 0);
-  CodedPacket original = encoder.next_packet(rng);
-  relay.offer(original);
+  FamilyRecoder relay(params, 0, 0, CodeSpec::dense());
+  const CodedPacket original = next_packet(encoder, rng);
+  offer(relay, original);
   int identical = 0;
   for (int i = 0; i < 50; ++i) {
-    if (relay.recode(rng).coefficients == original.coefficients) ++identical;
+    if (recode(relay, rng).coefficients == original.coefficients) ++identical;
   }
   // With one buffered packet the recoded coefficients are random multiples;
   // exact replay happens with probability 1/255 per draw.
@@ -103,4 +111,4 @@ TEST(CodingRoundTrip, ReencodingRefreshesCoefficients) {
 }
 
 }  // namespace
-}  // namespace omnc::coding
+}  // namespace omnc::codes

@@ -1,40 +1,52 @@
-#include "coding/decoder.h"
-
+// Progressive Gauss–Jordan decoding (Sec. 4) through the dense
+// FamilyDecoder.
 #include <gtest/gtest.h>
 
-#include "coding/encoder.h"
+#include "codes/family_runtime.h"
+#include "coding_test_util.h"
 #include "common/rng.h"
 
-namespace omnc::coding {
+namespace omnc::codes {
 namespace {
+
+using coding::CodedPacket;
+using coding::CodingParams;
+using coding::Generation;
+using testing_util::next_packet;
+using testing_util::offer;
+using testing_util::recover;
 
 class DecoderTest : public ::testing::Test {
  protected:
   CodingParams params_{6, 32};
   Generation gen_ = Generation::synthetic(1, params_, 123);
-  SourceEncoder encoder_{gen_, 0};
+  FamilyEncoder encoder_{gen_, 0, CodeSpec::dense()};
   Rng rng_{7};
+
+  FamilyDecoder make_decoder(std::uint32_t generation_id) const {
+    return FamilyDecoder(params_, generation_id, CodeSpec::dense());
+  }
 };
 
 TEST_F(DecoderTest, ProgressiveDecodeRecoversOriginal) {
-  ProgressiveDecoder decoder(params_, 1);
+  FamilyDecoder decoder = make_decoder(1);
   int offered = 0;
   while (!decoder.complete()) {
-    decoder.offer(encoder_.next_packet(rng_));
+    offer(decoder, next_packet(encoder_, rng_));
     ++offered;
     ASSERT_LT(offered, 100);
   }
-  const auto recovered = decoder.recover();
+  const auto recovered = recover(decoder);
   ASSERT_EQ(recovered.size(), gen_.bytes().size());
   EXPECT_TRUE(std::equal(recovered.begin(), recovered.end(),
                          gen_.bytes().begin()));
 }
 
 TEST_F(DecoderTest, RankGrowsByAtMostOnePerPacket) {
-  ProgressiveDecoder decoder(params_, 1);
+  FamilyDecoder decoder = make_decoder(1);
   std::size_t last_rank = 0;
   for (int i = 0; i < 40 && !decoder.complete(); ++i) {
-    const bool innovative = decoder.offer(encoder_.next_packet(rng_));
+    const bool innovative = offer(decoder, next_packet(encoder_, rng_));
     EXPECT_EQ(decoder.rank(), last_rank + (innovative ? 1 : 0));
     last_rank = decoder.rank();
   }
@@ -42,63 +54,49 @@ TEST_F(DecoderTest, RankGrowsByAtMostOnePerPacket) {
 }
 
 TEST_F(DecoderTest, DuplicatePacketIsNotInnovative) {
-  ProgressiveDecoder decoder(params_, 1);
-  const CodedPacket pkt = encoder_.next_packet(rng_);
-  EXPECT_TRUE(decoder.offer(pkt));
-  EXPECT_FALSE(decoder.offer(pkt));
+  FamilyDecoder decoder = make_decoder(1);
+  const CodedPacket pkt = next_packet(encoder_, rng_);
+  const FamilyDecoder::OfferResult first =
+      decoder.offer(pkt.as_view(), coding::CodedStructure::make_dense());
+  EXPECT_TRUE(first.innovative);
+  EXPECT_GE(first.pivot, 0);
+  const FamilyDecoder::OfferResult second =
+      decoder.offer(pkt.as_view(), coding::CodedStructure::make_dense());
+  EXPECT_FALSE(second.innovative);
+  EXPECT_EQ(second.pivot, -1);
   EXPECT_EQ(decoder.rank(), 1u);
   EXPECT_EQ(decoder.packets_seen(), 2u);
-  EXPECT_EQ(decoder.packets_innovative(), 1u);
 }
 
 TEST_F(DecoderTest, WrongGenerationRejected) {
-  ProgressiveDecoder decoder(params_, 2);  // decoder expects generation 2
-  EXPECT_FALSE(decoder.offer(encoder_.next_packet(rng_)));  // packet is gen 1
+  FamilyDecoder decoder = make_decoder(2);  // decoder expects generation 2
+  EXPECT_FALSE(offer(decoder, next_packet(encoder_, rng_)));  // packet is gen 1
   EXPECT_EQ(decoder.rank(), 0u);
   EXPECT_EQ(decoder.packets_seen(), 0u);
 }
 
 TEST_F(DecoderTest, DimensionMismatchRejected) {
-  ProgressiveDecoder decoder(params_, 1);
-  CodedPacket pkt = encoder_.next_packet(rng_);
+  FamilyDecoder decoder = make_decoder(1);
+  CodedPacket pkt = next_packet(encoder_, rng_);
   pkt.block_bytes = 16;
   pkt.payload.resize(16);
-  EXPECT_FALSE(decoder.offer(pkt));
+  EXPECT_FALSE(offer(decoder, pkt));
 }
 
-TEST_F(DecoderTest, SystematicPacketsDecodeImmediately) {
-  ProgressiveDecoder decoder(params_, 1);
-  for (std::size_t b = 0; b < params_.generation_blocks; ++b) {
-    std::vector<std::uint8_t> unit(params_.generation_blocks, 0);
-    unit[b] = 1;
-    ASSERT_TRUE(decoder.offer(encoder_.packet_with_coefficients(unit)));
-    // Each systematic packet decodes its block on the fly.
-    const std::uint8_t* block = decoder.decoded_block(b);
-    ASSERT_NE(block, nullptr);
-    EXPECT_TRUE(std::equal(block, block + params_.block_bytes, gen_.block(b)));
-  }
-  EXPECT_TRUE(decoder.complete());
-}
-
-TEST_F(DecoderTest, PartiallyDecodedBlocksReportedNullUntilResolved) {
-  ProgressiveDecoder decoder(params_, 1);
-  // One random (dense) packet: no block is individually decodable yet.
-  decoder.offer(encoder_.next_packet(rng_));
-  int resolved = 0;
-  for (std::size_t b = 0; b < params_.generation_blocks; ++b) {
-    if (decoder.decoded_block(b) != nullptr) ++resolved;
-  }
-  EXPECT_EQ(resolved, 0);
+TEST_F(DecoderTest, DenseSpecHasNoStructuredStats) {
+  EXPECT_EQ(make_decoder(1).structured_stats(), nullptr);
 }
 
 TEST_F(DecoderTest, ResetRetargetsGeneration) {
-  ProgressiveDecoder decoder(params_, 1);
-  while (!decoder.complete()) decoder.offer(encoder_.next_packet(rng_));
+  FamilyDecoder decoder = make_decoder(1);
+  while (!decoder.complete()) offer(decoder, next_packet(encoder_, rng_));
   decoder.reset(2);
   EXPECT_EQ(decoder.generation_id(), 2u);
   EXPECT_EQ(decoder.rank(), 0u);
+  EXPECT_EQ(decoder.packets_seen(), 0u);
   EXPECT_FALSE(decoder.complete());
-  EXPECT_FALSE(decoder.offer(encoder_.next_packet(rng_)));  // old gen now rejected
+  // The old generation is now rejected.
+  EXPECT_FALSE(offer(decoder, next_packet(encoder_, rng_)));
 }
 
 // Parameterized sweep over generation geometries: decoding must need exactly
@@ -111,12 +109,15 @@ TEST_P(DecoderGeometryTest, DecodesWithExactlyNInnovativePackets) {
   CodingParams params{static_cast<std::uint16_t>(blocks),
                       static_cast<std::uint16_t>(bytes)};
   const Generation gen = Generation::synthetic(0, params, 55);
-  SourceEncoder encoder(gen, 0);
-  ProgressiveDecoder decoder(params, 0);
+  FamilyEncoder encoder(gen, 0, CodeSpec::dense());
+  FamilyDecoder decoder(params, 0, CodeSpec::dense());
   Rng rng(blocks * 1000 + bytes);
-  while (!decoder.complete()) decoder.offer(encoder.next_packet(rng));
-  EXPECT_EQ(decoder.packets_innovative(), static_cast<std::size_t>(blocks));
-  const auto recovered = decoder.recover();
+  std::size_t innovative = 0;
+  while (!decoder.complete()) {
+    innovative += offer(decoder, next_packet(encoder, rng)) ? 1 : 0;
+  }
+  EXPECT_EQ(innovative, static_cast<std::size_t>(blocks));
+  const auto recovered = recover(decoder);
   EXPECT_TRUE(std::equal(recovered.begin(), recovered.end(),
                          gen.bytes().begin()));
 }
@@ -128,4 +129,4 @@ INSTANTIATE_TEST_SUITE_P(Geometries, DecoderGeometryTest,
                                            std::pair{64, 16}));
 
 }  // namespace
-}  // namespace omnc::coding
+}  // namespace omnc::codes

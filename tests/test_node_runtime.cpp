@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
-#include "coding/decoder.h"
-#include "coding/encoder.h"
+#include "codes/family_runtime.h"
+#include "coding_test_util.h"
 #include "common/rng.h"
 
 namespace omnc::protocols {
@@ -15,6 +17,18 @@ class NodeRuntimeTest : public ::testing::Test {
  protected:
   coding::CodingParams params_{4, 16};
   Rng rng_{77};
+
+  coding::CodedPacket emit(NodeRuntime& node) {
+    coding::CodedPacket packet;
+    coding::CodedStructure structure;
+    node.next_packet_into(rng_, &packet, &structure);
+    EXPECT_TRUE(structure.dense());
+    return packet;
+  }
+  static NodeRuntime::ReceiveOutcome receive(NodeRuntime& node,
+                                             const coding::CodedPacket& p) {
+    return node.receive(p.as_view(), coding::CodedStructure::make_dense());
+  }
 };
 
 TEST_F(NodeRuntimeTest, SourceGenerationLifecycle) {
@@ -55,8 +69,8 @@ TEST_F(NodeRuntimeTest, SourceRespectsMaxGenerations) {
 TEST_F(NodeRuntimeTest, SourceIgnoresDataPackets) {
   NodeRuntime source = NodeRuntime::source(params_, 0, 5);
   source.maybe_start_generation(1.0, 64.0, 10);
-  const coding::CodedPacket packet = source.next_packet(rng_);
-  const NodeRuntime::ReceiveOutcome outcome = source.receive(packet);
+  const coding::CodedPacket packet = emit(source);
+  const NodeRuntime::ReceiveOutcome outcome = receive(source, packet);
   EXPECT_FALSE(outcome.innovative);
   EXPECT_FALSE(outcome.generation_complete);
 }
@@ -68,17 +82,17 @@ TEST_F(NodeRuntimeTest, RelayInnovationFilterAndFlush) {
   EXPECT_EQ(relay.role(), NodeRuntime::Role::kRelay);
   EXPECT_FALSE(relay.can_send(0));
 
-  const coding::CodedPacket packet = source.next_packet(rng_);
-  EXPECT_TRUE(relay.receive(packet).innovative);
-  EXPECT_FALSE(relay.receive(packet).innovative);  // duplicate, filtered
+  const coding::CodedPacket packet = emit(source);
+  EXPECT_TRUE(receive(relay, packet).innovative);
+  EXPECT_FALSE(receive(relay, packet).innovative);  // duplicate, filtered
   EXPECT_EQ(relay.rank(), 1u);
   EXPECT_TRUE(relay.can_send(0));
   // A relay stuck on an old generation must stay silent.
   EXPECT_FALSE(relay.can_send(1));
 
   // Re-encoded output stays within the span the relay holds.
-  coding::ProgressiveDecoder probe(params_, 0);
-  for (int i = 0; i < 16; ++i) probe.offer(relay.next_packet(rng_));
+  codes::FamilyDecoder probe(params_, 0, codes::CodeSpec::dense());
+  for (int i = 0; i < 16; ++i) testing_util::offer(probe, emit(relay));
   EXPECT_EQ(probe.rank(), 1u);
 
   // Flushing to the same generation is a no-op; to a newer one it drops the
@@ -98,10 +112,11 @@ TEST_F(NodeRuntimeTest, DestinationDecodesAndAdvances) {
 
   bool complete = false;
   while (!complete) {
-    complete = destination.receive(source.next_packet(rng_)).generation_complete;
+    complete = receive(destination, emit(source)).generation_complete;
   }
   EXPECT_EQ(destination.rank(), params_.generation_blocks);
-  const auto recovered = destination.recover();
+  std::vector<std::uint8_t> recovered(destination.recovered_size());
+  destination.recover_into(std::span<std::uint8_t>(recovered));
   EXPECT_TRUE(std::equal(recovered.begin(), recovered.end(),
                          source.generation().bytes().begin()));
 
@@ -109,7 +124,7 @@ TEST_F(NodeRuntimeTest, DestinationDecodesAndAdvances) {
   EXPECT_EQ(destination.generation_id(), 1u);
   EXPECT_EQ(destination.rank(), 0u);
   // Packets of the finished generation are now rejected.
-  EXPECT_FALSE(destination.receive(source.next_packet(rng_)).innovative);
+  EXPECT_FALSE(receive(destination, emit(source)).innovative);
 }
 
 }  // namespace

@@ -1,78 +1,99 @@
-#include "coding/recoder.h"
-
+// Relay re-encoding (Sec. 3.1; Sec. 4, "Packet and Queue Management")
+// through the dense FamilyRecoder.
 #include <gtest/gtest.h>
 
-#include "coding/decoder.h"
-#include "coding/encoder.h"
+#include "codes/family_runtime.h"
+#include "coding_test_util.h"
 #include "common/rng.h"
 
-namespace omnc::coding {
+namespace omnc::codes {
 namespace {
+
+using coding::CodedPacket;
+using testing_util::next_packet;
+using testing_util::offer;
+using testing_util::recode;
+using testing_util::recover;
 
 class RecoderTest : public ::testing::Test {
  protected:
-  CodingParams params_{5, 20};
-  Generation gen_ = Generation::synthetic(3, params_, 9);
-  SourceEncoder encoder_{gen_, 0};
+  coding::CodingParams params_{5, 20};
+  coding::Generation gen_ = coding::Generation::synthetic(3, params_, 9);
+  FamilyEncoder encoder_{gen_, 0, CodeSpec::dense()};
   Rng rng_{21};
+
+  FamilyRecoder make_recoder(std::uint32_t generation_id) const {
+    return FamilyRecoder(params_, 0, generation_id, CodeSpec::dense());
+  }
+  FamilyDecoder make_decoder() const {
+    return FamilyDecoder(params_, 3, CodeSpec::dense());
+  }
 };
 
 TEST_F(RecoderTest, AcceptsOnlyInnovativePackets) {
-  Recoder recoder(params_, 0, 3);
-  const CodedPacket pkt = encoder_.next_packet(rng_);
-  EXPECT_TRUE(recoder.offer(pkt));
-  EXPECT_FALSE(recoder.offer(pkt));  // duplicate
+  FamilyRecoder recoder = make_recoder(3);
+  const CodedPacket pkt = next_packet(encoder_, rng_);
+  EXPECT_TRUE(offer(recoder, pkt));
+  EXPECT_FALSE(offer(recoder, pkt));  // duplicate
   EXPECT_EQ(recoder.rank(), 1u);
 }
 
 TEST_F(RecoderTest, CannotSendBeforeFirstPacket) {
-  Recoder recoder(params_, 0, 3);
+  FamilyRecoder recoder = make_recoder(3);
   EXPECT_FALSE(recoder.can_send());
-  recoder.offer(encoder_.next_packet(rng_));
+  offer(recoder, next_packet(encoder_, rng_));
   EXPECT_TRUE(recoder.can_send());
 }
 
 TEST_F(RecoderTest, RejectsOtherGenerations) {
-  Recoder recoder(params_, 0, 99);
-  EXPECT_FALSE(recoder.offer(encoder_.next_packet(rng_)));  // gen 3 != 99
+  FamilyRecoder recoder = make_recoder(99);
+  EXPECT_FALSE(offer(recoder, next_packet(encoder_, rng_)));  // gen 3 != 99
+}
+
+TEST_F(RecoderTest, RejectsDimensionMismatch) {
+  FamilyRecoder recoder = make_recoder(3);
+  CodedPacket pkt = next_packet(encoder_, rng_);
+  pkt.payload.resize(8);
+  EXPECT_FALSE(offer(recoder, pkt));
+  EXPECT_EQ(recoder.rank(), 0u);
 }
 
 TEST_F(RecoderTest, RecodedPacketsStayInReceivedSpan) {
-  Recoder recoder(params_, 0, 3);
+  FamilyRecoder recoder = make_recoder(3);
   // Give the relay 3 of the 5 degrees of freedom.
-  while (recoder.rank() < 3) recoder.offer(encoder_.next_packet(rng_));
+  while (recoder.rank() < 3) offer(recoder, next_packet(encoder_, rng_));
   // Everything it emits must lie in that 3-dimensional span: a decoder fed
   // only by this relay can never exceed rank 3.
-  ProgressiveDecoder decoder(params_, 3);
-  for (int i = 0; i < 60; ++i) decoder.offer(recoder.recode(rng_));
+  FamilyDecoder decoder = make_decoder();
+  for (int i = 0; i < 60; ++i) offer(decoder, recode(recoder, rng_));
   EXPECT_EQ(decoder.rank(), 3u);
 }
 
 TEST_F(RecoderTest, RecodedPayloadConsistentWithCoefficients) {
   // Feeding a decoder from relays must still reproduce the original data:
   // the re-encoding must transform payload and coefficients identically.
-  Recoder recoder(params_, 0, 3);
-  while (!recoder.is_full()) recoder.offer(encoder_.next_packet(rng_));
-  ProgressiveDecoder decoder(params_, 3);
-  while (!decoder.complete()) decoder.offer(recoder.recode(rng_));
-  const auto recovered = decoder.recover();
+  FamilyRecoder recoder = make_recoder(3);
+  while (!recoder.is_full()) offer(recoder, next_packet(encoder_, rng_));
+  FamilyDecoder decoder = make_decoder();
+  while (!decoder.complete()) offer(decoder, recode(recoder, rng_));
+  const auto recovered = recover(decoder);
   EXPECT_TRUE(std::equal(recovered.begin(), recovered.end(),
                          gen_.bytes().begin()));
 }
 
 TEST_F(RecoderTest, FullRelayStopsAccepting) {
-  Recoder recoder(params_, 0, 3);
-  while (!recoder.is_full()) recoder.offer(encoder_.next_packet(rng_));
+  FamilyRecoder recoder = make_recoder(3);
+  while (!recoder.is_full()) offer(recoder, next_packet(encoder_, rng_));
   EXPECT_EQ(recoder.rank(), 5u);
   // Every further packet is necessarily dependent.
   for (int i = 0; i < 20; ++i) {
-    EXPECT_FALSE(recoder.offer(encoder_.next_packet(rng_)));
+    EXPECT_FALSE(offer(recoder, next_packet(encoder_, rng_)));
   }
 }
 
 TEST_F(RecoderTest, ResetFlushesBufferAndRetargets) {
-  Recoder recoder(params_, 0, 3);
-  recoder.offer(encoder_.next_packet(rng_));
+  FamilyRecoder recoder = make_recoder(3);
+  offer(recoder, next_packet(encoder_, rng_));
   recoder.reset(4);
   EXPECT_EQ(recoder.generation_id(), 4u);
   EXPECT_FALSE(recoder.can_send());
@@ -81,21 +102,21 @@ TEST_F(RecoderTest, ResetFlushesBufferAndRetargets) {
 
 TEST_F(RecoderTest, TwoHopRelayChainDelivers) {
   // Source -> relay A -> relay B -> decoder, all by re-encoding.
-  Recoder relay_a(params_, 0, 3);
-  Recoder relay_b(params_, 0, 3);
-  ProgressiveDecoder decoder(params_, 3);
+  FamilyRecoder relay_a = make_recoder(3);
+  FamilyRecoder relay_b = make_recoder(3);
+  FamilyDecoder decoder = make_decoder();
   int steps = 0;
   while (!decoder.complete() && steps < 1000) {
     ++steps;
-    relay_a.offer(encoder_.next_packet(rng_));
-    if (relay_a.can_send()) relay_b.offer(relay_a.recode(rng_));
-    if (relay_b.can_send()) decoder.offer(relay_b.recode(rng_));
+    offer(relay_a, next_packet(encoder_, rng_));
+    if (relay_a.can_send()) offer(relay_b, recode(relay_a, rng_));
+    if (relay_b.can_send()) offer(decoder, recode(relay_b, rng_));
   }
   ASSERT_TRUE(decoder.complete());
-  const auto recovered = decoder.recover();
+  const auto recovered = recover(decoder);
   EXPECT_TRUE(std::equal(recovered.begin(), recovered.end(),
                          gen_.bytes().begin()));
 }
 
 }  // namespace
-}  // namespace omnc::coding
+}  // namespace omnc::codes

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "galois/gf256.h"
 #include "galois/matrix.h"
@@ -174,30 +176,47 @@ TEST(Rref, InsertAfterCompleteIsRejected) {
   EXPECT_EQ(acc.rank(), 4u);
 }
 
-TEST(Rref, WouldBeInnovativeDoesNotMutate) {
-  RrefAccumulator acc(3, 3);
-  ASSERT_TRUE(acc.insert(row_of({1, 2, 3})));
-  const auto candidate = row_of({0, 5, 6});
-  EXPECT_TRUE(acc.would_be_innovative(candidate.data()));
-  EXPECT_EQ(acc.rank(), 1u);  // unchanged
-  const auto dependent = row_of({1, 2, 3});
-  EXPECT_FALSE(acc.would_be_innovative(dependent.data()));
-  EXPECT_EQ(acc.rank(), 1u);
+/// True iff the basis row with pivot `pivot` is the unit vector e_pivot,
+/// i.e. that block is already decoded.
+bool block_resolved(const RrefAccumulator& acc, std::size_t pivot) {
+  const std::uint8_t* coeffs = acc.coefficients_for_pivot(pivot);
+  if (coeffs == nullptr) return false;
+  for (std::size_t c = 0; c < acc.pivot_cols(); ++c) {
+    if (coeffs[c] != (c == pivot ? 1 : 0)) return false;
+  }
+  return true;
 }
 
-TEST(Rref, WouldBeInnovativeAgreesWithInsertUnderChurn) {
-  // The scratch buffer is reused across calls; interleaving checks and
-  // inserts must never corrupt either.
-  Rng rng(17);
-  RrefAccumulator acc(8, 8);
-  for (int i = 0; i < 200 && !acc.complete(); ++i) {
-    std::vector<std::uint8_t> row(8);
-    for (auto& b : row) b = rng.next_byte();
-    const bool predicted = acc.would_be_innovative(row.data());
-    const bool inserted = acc.insert(row);
-    EXPECT_EQ(predicted, inserted);
+// Progressive decoding (Sec. 4): a systematic (unit-coefficient) row decodes
+// its block the moment it arrives, long before the generation is complete.
+TEST(Rref, UnitRowPayloadAvailableBeforeFullRank) {
+  constexpr std::size_t kCols = 6;
+  constexpr std::size_t kBytes = 32;
+  Rng rng(12);
+  RrefAccumulator acc(kCols, kCols + kBytes);
+  for (std::size_t b = 0; b < kCols; ++b) {
+    std::vector<std::uint8_t> row(kCols + kBytes, 0);
+    row[b] = 1;
+    for (std::size_t i = kCols; i < row.size(); ++i) row[i] = rng.next_byte();
+    ASSERT_TRUE(acc.insert(row));
+    ASSERT_TRUE(block_resolved(acc, b));
+    const std::uint8_t* payload = acc.payload_for_pivot(b);
+    ASSERT_NE(payload, nullptr);
+    EXPECT_TRUE(std::equal(payload, payload + kBytes, row.begin() + kCols));
+    EXPECT_EQ(acc.complete(), b + 1 == kCols);
   }
-  EXPECT_TRUE(acc.complete());
+}
+
+TEST(Rref, SingleDenseRowResolvesNoBlock) {
+  constexpr std::size_t kCols = 6;
+  Rng rng(13);
+  RrefAccumulator acc(kCols, kCols + 16);
+  std::vector<std::uint8_t> row(kCols + 16);
+  for (auto& b : row) b = static_cast<std::uint8_t>(rng.next_byte() | 1);
+  ASSERT_TRUE(acc.insert(row));
+  for (std::size_t b = 0; b < kCols; ++b) {
+    EXPECT_FALSE(block_resolved(acc, b)) << "block " << b;
+  }
 }
 
 TEST(Rref, ClearResetsState) {

@@ -1,18 +1,17 @@
 // Zero-copy pipeline tests: CodedPacketView / DataFrameView parsing (round
-// trips and hardened rejection), serialize_into equivalence, the view-based
-// decoder path, and recode-from-basis equivalence against a hand-computed
-// GF(2^8) combination of the offered packets.
+// trips and hardened rejection), serialize_into equivalence, decoding
+// straight from wire views, and recode-from-basis equivalence against a
+// hand-computed GF(2^8) combination of the offered packets.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <span>
 #include <vector>
 
+#include "codes/family_runtime.h"
 #include "coding/coded_packet.h"
-#include "coding/decoder.h"
-#include "coding/encoder.h"
 #include "coding/generation.h"
-#include "coding/recoder.h"
+#include "coding_test_util.h"
 #include "common/rng.h"
 #include "galois/gf256.h"
 #include "wire/frame.h"
@@ -178,45 +177,49 @@ TEST(Frame, SerializeIntoIsByteIdenticalAndReusesCapacity) {
   EXPECT_EQ(buffer, frames[0].serialize());
 }
 
-TEST(Decoder, ViewOfferDecodesIdenticallyToOwningOffer) {
+TEST(FamilyDecoder, WireViewOfferDecodesIdenticallyToPacketView) {
   const coding::CodingParams params{8, 64};
   const coding::Generation gen = coding::Generation::synthetic(0, params, 7);
-  coding::SourceEncoder encoder(gen, 1);
+  codes::FamilyEncoder encoder(gen, 1, codes::CodeSpec::dense());
   Rng rng(5);
   std::vector<coding::CodedPacket> packets;
-  for (int i = 0; i < 10; ++i) packets.push_back(encoder.next_packet(rng));
+  for (int i = 0; i < 10; ++i) {
+    packets.push_back(testing_util::next_packet(encoder, rng));
+  }
 
-  coding::ProgressiveDecoder by_packet(params, 0);
-  coding::ProgressiveDecoder by_view(params, 0);
+  codes::FamilyDecoder by_packet(params, 0, codes::CodeSpec::dense());
+  codes::FamilyDecoder by_wire(params, 0, codes::CodeSpec::dense());
+  const coding::CodedStructure dense = coding::CodedStructure::make_dense();
   for (const auto& pkt : packets) {
     const std::vector<std::uint8_t> wire = pkt.serialize();
     coding::CodedPacketView view;
     ASSERT_TRUE(coding::CodedPacketView::parse(wire, &view));
-    EXPECT_EQ(by_view.offer(view), by_packet.offer(pkt));
+    EXPECT_EQ(by_wire.offer(view, dense).innovative,
+              by_packet.offer(pkt.as_view(), dense).innovative);
   }
-  ASSERT_TRUE(by_view.complete());
-  const std::vector<std::uint8_t> a = by_packet.recover();
-  std::vector<std::uint8_t> b(by_view.recovered_size());
-  by_view.recover_into(std::span<std::uint8_t>(b));
+  ASSERT_TRUE(by_wire.complete());
+  const std::vector<std::uint8_t> a = testing_util::recover(by_packet);
+  const std::vector<std::uint8_t> b = testing_util::recover(by_wire);
   EXPECT_EQ(a, b);
   const std::span<const std::uint8_t> want = gen.bytes();
   ASSERT_EQ(b.size(), want.size());
   EXPECT_TRUE(std::equal(b.begin(), b.end(), want.begin()));
 }
 
-TEST(Recoder, RecodeIsHandComputedCombinationOfOfferedPackets) {
+TEST(FamilyRecoder, RecodeIsHandComputedCombinationOfOfferedPackets) {
   const coding::CodingParams params{4, 32};
   const coding::Generation gen = coding::Generation::synthetic(2, params, 3);
-  coding::SourceEncoder encoder(gen, 6);
+  codes::FamilyEncoder encoder(gen, 6, codes::CodeSpec::dense());
   Rng src_rng(77);
-  coding::Recoder recoder(params, 6, 2);
+  codes::FamilyRecoder recoder(params, 6, 2, codes::CodeSpec::dense());
+  const coding::CodedStructure dense = coding::CodedStructure::make_dense();
   std::vector<coding::CodedPacket> accepted;
   while (accepted.size() < 3) {
-    const coding::CodedPacket pkt = encoder.next_packet(src_rng);
+    const coding::CodedPacket pkt = testing_util::next_packet(encoder, src_rng);
     const std::vector<std::uint8_t> wire = pkt.serialize();
     coding::CodedPacketView view;
     ASSERT_TRUE(coding::CodedPacketView::parse(wire, &view));
-    if (recoder.offer(view)) accepted.push_back(pkt);
+    if (recoder.offer(view, dense)) accepted.push_back(pkt);
   }
   ASSERT_EQ(recoder.rank(), 3u);
 
@@ -224,16 +227,15 @@ TEST(Recoder, RecodeIsHandComputedCombinationOfOfferedPackets) {
   // output must be exactly sum_k alpha_k * accepted[k] over GF(2^8), in
   // insertion order.
   Rng recode_rng(123);
-  const coding::CodedPacket out = recoder.recode(recode_rng);
+  const coding::CodedPacket out = testing_util::recode(recoder, recode_rng);
   Rng replay_rng(123);
   std::vector<std::uint8_t> alpha(accepted.size());
   bool nonzero = false;
-  while (!nonzero) {
-    for (auto& a : alpha) {
-      a = replay_rng.next_byte();
-      nonzero |= (a != 0);
-    }
+  for (auto& a : alpha) {
+    a = replay_rng.next_byte();
+    nonzero |= (a != 0);
   }
+  if (!nonzero) alpha[0] = 1;
   std::vector<std::uint8_t> coeffs(params.generation_blocks, 0);
   std::vector<std::uint8_t> payload(params.block_bytes, 0);
   for (std::size_t k = 0; k < accepted.size(); ++k) {
@@ -250,37 +252,42 @@ TEST(Recoder, RecodeIsHandComputedCombinationOfOfferedPackets) {
   EXPECT_EQ(out.payload, payload);
   EXPECT_EQ(out.session_id, 6u);
   EXPECT_EQ(out.generation_id, 2u);
+  // The draw count is pinned at rank(): both streams are now in step.
+  EXPECT_EQ(recode_rng.next_u64(), replay_rng.next_u64());
 
-  // recode_into with the same rng state reproduces recode() byte for byte
-  // into a reused packet.
+  // recode_into with the same rng state reproduces the output byte for
+  // byte into a reused, dirty packet.
   Rng again(123);
-  coding::CodedPacket reused = sample_packet(0, 0, 4, 32, 1);  // dirty
-  recoder.recode_into(again, &reused);
+  coding::CodedPacket reused = sample_packet(0, 0, 4, 32, 1);
+  coding::CodedStructure structure;
+  recoder.recode_into(again, &reused, &structure);
+  EXPECT_TRUE(structure.dense());
   EXPECT_EQ(reused.coefficients, out.coefficients);
   EXPECT_EQ(reused.payload, out.payload);
 }
 
-TEST(Recoder, NonInnovativeViewPayloadIsNeverCopied) {
+TEST(FamilyRecoder, NonInnovativeViewPayloadIsNeverCopied) {
   const coding::CodingParams params{4, 16};
   const coding::Generation gen = coding::Generation::synthetic(0, params, 9);
-  coding::SourceEncoder encoder(gen, 1);
+  codes::FamilyEncoder encoder(gen, 1, codes::CodeSpec::dense());
   Rng rng(4);
-  coding::Recoder recoder(params, 1, 0);
-  const coding::CodedPacket pkt = encoder.next_packet(rng);
-  ASSERT_TRUE(recoder.offer(pkt.as_view()));
+  codes::FamilyRecoder recoder(params, 1, 0, codes::CodeSpec::dense());
+  const coding::CodedStructure dense = coding::CodedStructure::make_dense();
+  const coding::CodedPacket pkt = testing_util::next_packet(encoder, rng);
+  ASSERT_TRUE(recoder.offer(pkt.as_view(), dense));
   // The identical packet again: dependent, so the payload span may be
   // garbage — hand the view a payload span of poisoned bytes to prove the
   // dependent path never reads it into the basis.
   std::vector<std::uint8_t> poison(params.block_bytes, 0xEE);
   coding::CodedPacketView dup = pkt.as_view();
   dup.payload = std::span<const std::uint8_t>(poison.data(), poison.size());
-  EXPECT_FALSE(recoder.offer(dup));
+  EXPECT_FALSE(recoder.offer(dup, dense));
   // A recode still reflects only the accepted packet's payload.
   Rng recode_rng(1);
-  const coding::CodedPacket out = recoder.recode(recode_rng);
+  const coding::CodedPacket out = testing_util::recode(recoder, recode_rng);
   Rng replay(1);
-  std::uint8_t alpha = 0;
-  while (alpha == 0) alpha = replay.next_byte();
+  std::uint8_t alpha = replay.next_byte();
+  if (alpha == 0) alpha = 1;  // the pinned all-zero repair
   for (std::size_t i = 0; i < out.payload.size(); ++i) {
     EXPECT_EQ(out.payload[i], gf::mul(alpha, pkt.payload[i]));
   }

@@ -638,6 +638,9 @@ int main(int argc, char** argv) {
   }
 
   bool ok = result.completed && result.data_ok;
+  // The registry snapshot describes the measured run only: taken after the
+  // cross-check, it would also count the slot-simulator and replay runs.
+  bench::finish_obs(obs);
 
   if (options.get_bool("cross-check", false)) {
     // Same topology, same coding geometry, fading off for comparability.
@@ -721,6 +724,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::finish_obs(obs);
   return ok ? 0 : 1;
 }

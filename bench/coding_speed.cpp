@@ -3,11 +3,11 @@
 // lookup-table implementation, depending on generation and block size.
 //
 // Benchmarks cover the raw region kernels (single-source axpy, the fused
-// four-source fold, and the scatter form), dense encoding and progressive
-// decoding (through recover_into()) with the family encoder and decoder, and
-// the structured family decoders, each registered once per backend (scalar /
-// sse2 / ssse3 / avx2 / gfni / neon / portable).  Unsupported backends are
-// skipped at run time.  Run with --benchmark_filter=... to narrow, and
+// four-source fold, and the scatter form), dense encoding, and progressive
+// decoding (through recover_into()) of the dense, systematic and banded
+// families with the family encoder and decoder, each registered once per
+// backend (scalar / sse2 / ssse3 / avx2 / gfni / neon / portable).
+// Unsupported backends are skipped at run time.  Run with --benchmark_filter=... to narrow, and
 // --json <path> to mirror results into the shared bench JSON format.
 #include <benchmark/benchmark.h>
 
@@ -129,48 +129,14 @@ void bench_encode(benchmark::State& state, gf::Backend backend) {
   gf::set_backend(previous);
 }
 
-void bench_progressive_decode(benchmark::State& state, gf::Backend backend) {
-  if (!gf::backend_supported(backend)) {
-    state.SkipWithError("backend not supported on this CPU");
-    return;
-  }
-  const gf::Backend previous = gf::active_backend();
-  gf::set_backend(backend);
-  const auto blocks = static_cast<std::uint16_t>(state.range(0));
-  const auto bytes = static_cast<std::uint16_t>(state.range(1));
-  coding::CodingParams params{blocks, bytes};
-  const coding::Generation gen = coding::Generation::synthetic(0, params, 7);
-  codes::FamilyEncoder encoder(gen, 0, codes::CodeSpec::dense());
-  Rng rng(5);
-  // Pre-generate a full generation worth of packets outside the timing loop.
-  std::vector<coding::CodedPacket> packets(blocks + 4);
-  coding::CodedStructure dense;
-  for (auto& pkt : packets) encoder.next_packet_into(rng, &pkt, &dense);
-  std::vector<std::uint8_t> out(params.generation_bytes());
-  for (auto _ : state) {
-    codes::FamilyDecoder decoder(params, 0, codes::CodeSpec::dense());
-    for (const auto& pkt : packets) {
-      if (decoder.complete()) break;
-      decoder.offer(pkt.as_view(), dense);
-    }
-    // Decode all the way through: recover_into() runs the deferred payload
-    // elimination straight into the caller buffer, so the timing covers
-    // offers plus materialization with no output allocation or concat copy.
-    decoder.recover_into(std::span<std::uint8_t>(out));
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(blocks) * bytes);
-  gf::set_backend(previous);
-}
-
-// Family decoders (DESIGN.md §15): the structured CBD-style decoder fed by
-// the family encoder's own emission order.  Systematic runs the lossless
-// fast path (n uncoded originals, zero GF region multiplies); banded decode
-// cost scales with the band width instead of the generation size, which is
-// the BENCH_9 decode-cost win against BM_Decode's dense Gauss-Jordan.
-void bench_family_decode(benchmark::State& state, gf::Backend backend,
-                         codes::CodeSpec spec) {
+// Progressive decode through FamilyDecoder, fed by the family encoder's own
+// emission order and decoded all the way through recover_into().  Dense is
+// the paper's random linear code; systematic runs the lossless fast path (n
+// uncoded originals, zero GF region multiplies); banded decode cost scales
+// with the band width instead of the generation size (the BENCH_9
+// decode-cost win against BM_Decode).
+void bench_decode(benchmark::State& state, gf::Backend backend,
+                  codes::CodeSpec spec) {
   if (!gf::backend_supported(backend)) {
     state.SkipWithError("backend not supported on this CPU");
     return;
@@ -187,59 +153,34 @@ void bench_family_decode(benchmark::State& state, gf::Backend backend,
   codes::FamilyEncoder encoder(gen, 0, spec);
   Rng rng(5);
   // Pre-generate outside the timing loop until a probe decoder completes,
-  // so the timed loop always replays a completing reception sequence; views
-  // hold the structures' explicit coefficient bytes, exactly as the wire
-  // layer would deliver.
+  // so the timed loop always replays a completing reception sequence.
   std::vector<coding::CodedPacket> packets;
   std::vector<coding::CodedStructure> structures;
-  std::vector<coding::CodedPacketView> views;
   {
-    codes::StructuredDecoder probe(params, 0);
+    codes::FamilyDecoder probe(params, 0, spec);
     const std::size_t budget = static_cast<std::size_t>(blocks) * 64;
     while (!probe.complete() && packets.size() < budget) {
       packets.emplace_back();
       structures.emplace_back();
       encoder.next_packet_into(rng, &packets.back(), &structures.back());
-      coding::CodedPacketView view = packets.back().as_view();
-      switch (structures.back().kind) {
-        case coding::CodedStructure::Kind::kDense:
-          break;
-        case coding::CodedStructure::Kind::kUncoded:
-          view.coefficients = {};
-          break;
-        case coding::CodedStructure::Kind::kWindow:
-          view.coefficients = view.coefficients.subspan(
-              structures.back().offset, structures.back().width);
-          break;
-      }
-      probe.offer(view, structures.back());
+      probe.offer(packets.back().as_view(structures.back()),
+                  structures.back());
     }
     if (!probe.complete()) {
       state.SkipWithError("family sequence did not reach full rank");
       gf::set_backend(previous);
       return;
     }
-    // as_view() spans must be taken after the vector stops reallocating.
-    views.resize(packets.size());
-    for (std::size_t i = 0; i < packets.size(); ++i) {
-      coding::CodedPacketView view = packets[i].as_view();
-      switch (structures[i].kind) {
-        case coding::CodedStructure::Kind::kDense:
-          break;
-        case coding::CodedStructure::Kind::kUncoded:
-          view.coefficients = {};
-          break;
-        case coding::CodedStructure::Kind::kWindow:
-          view.coefficients = view.coefficients.subspan(structures[i].offset,
-                                                        structures[i].width);
-          break;
-      }
-      views[i] = view;
-    }
+  }
+  // Views (the structure's explicit coefficient bytes, as the wire layer
+  // delivers them) must be taken after the vector stops reallocating.
+  std::vector<coding::CodedPacketView> views;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    views.push_back(packets[i].as_view(structures[i]));
   }
   std::vector<std::uint8_t> out(params.generation_bytes());
   for (auto _ : state) {
-    codes::StructuredDecoder decoder(params, 0);
+    codes::FamilyDecoder decoder(params, 0, spec);
     for (std::size_t i = 0; i < views.size(); ++i) {
       if (decoder.complete()) break;
       decoder.offer(views[i], structures[i]);
@@ -275,19 +216,19 @@ void register_benchmarks() {
         ->Args({40, 1024})
         ->Args({16, 1024})
         ->Args({40, 256});
-    benchmark::RegisterBenchmark(("BM_Decode/" + name).c_str(),
-                                 bench_progressive_decode, backend)
+    benchmark::RegisterBenchmark(("BM_Decode/" + name).c_str(), bench_decode,
+                                 backend, codes::CodeSpec::dense())
         ->Args({40, 1024})
         ->Args({64, 1024})
         ->Args({16, 256});
     benchmark::RegisterBenchmark(("BM_DecodeSystematic/" + name).c_str(),
-                                 bench_family_decode, backend,
+                                 bench_decode, backend,
                                  codes::CodeSpec::systematic())
         ->Args({64, 1024})
         ->Args({40, 1024});
     // Third arg: band width (<= g/4 is the BENCH_9 decode-cost target).
     benchmark::RegisterBenchmark(("BM_DecodeBanded/" + name).c_str(),
-                                 bench_family_decode, backend,
+                                 bench_decode, backend,
                                  codes::CodeSpec::banded(0))
         ->Args({64, 1024, 16})
         ->Args({64, 1024, 8});

@@ -140,7 +140,7 @@ FamilyRecoder::FamilyRecoder(const coding::CodingParams& params,
       session_id_(session_id),
       generation_id_(generation_id),
       spec_(spec.clamped_for(params)),
-      filter_(params.generation_blocks, params.generation_blocks),
+      filter_(params.generation_blocks),
       scratch_coeffs_(params.generation_blocks) {}
 
 bool FamilyRecoder::offer(const coding::CodedPacketView& view,
@@ -155,7 +155,7 @@ bool FamilyRecoder::offer(const coding::CodedPacketView& view,
   // Only an accepted row's bytes are copied — once — into the flat basis
   // arenas (reset() keeps their capacity, so the steady state re-fills in
   // place without allocating).
-  if (!filter_.insert(dense.coefficients.data(), nullptr)) return false;
+  if (!filter_.insert(dense.coefficients.data())) return false;
   basis_coeffs_.insert(basis_coeffs_.end(), dense.coefficients.begin(),
                        dense.coefficients.end());
   basis_payloads_.insert(basis_payloads_.end(), dense.payload.begin(),
@@ -229,95 +229,22 @@ void FamilyRecoder::reset(std::uint32_t generation_id) {
 // --- FamilyDecoder ---------------------------------------------------------
 
 FamilyDecoder::FamilyDecoder(const coding::CodingParams& params,
-                             std::uint32_t generation_id, const CodeSpec& spec)
-    : params_(params), generation_id_(generation_id) {
-  if (spec.clamped_for(params).is_dense()) {
-    rref_.emplace(params.generation_blocks,
-                  static_cast<std::size_t>(params.generation_blocks) +
-                      params.block_bytes);
-    scratch_coeffs_.resize(params.generation_blocks);
-  } else {
-    structured_.emplace(params, generation_id);
-  }
-}
-
-bool FamilyDecoder::dense_offer(const coding::CodedPacketView& view) {
-  OMNC_SCOPED_TIMER("coding/decode");
-  if (view.generation_id != generation_id_) return false;
-  if (!view.dimensions_match(params_)) return false;
-  ++dense_seen_;
-  // Coefficients and payload go straight into the split arenas; a
-  // non-innovative packet's payload is never even read.
-  return rref_->insert(view.coefficients.data(), view.payload.data());
-}
+                             std::uint32_t generation_id,
+                             const CodeSpec& /*spec*/)
+    : engine_(params, generation_id) {}
 
 FamilyDecoder::OfferResult FamilyDecoder::offer(
     const coding::CodedPacketView& view,
     const coding::CodedStructure& structure) {
   OfferResult result;
-  if (rref_) {
-    // A structured packet reaching a dense-spec decoder (mixed-family
-    // peers) is expanded and decoded densely: the structural fast path is
-    // lost but correctness is not.
-    if (!structure.dense() && view.generation_id != generation_id_) {
-      return result;
-    }
-    coding::CodedPacketView dense;
-    if (!dense_view(view, structure, params_, scratch_coeffs_.data(),
-                    &dense)) {
-      return result;
-    }
-    result.innovative = dense_offer(dense);
-    if (result.innovative) result.pivot = rref_->last_insert_pivot();
-    return result;
-  }
-  result.innovative = structured_->offer(view, structure);
+  result.innovative = engine_.offer(view, structure);
   if (result.innovative) {
-    result.pivot = structured_->last_pivot();
+    result.pivot = engine_.last_pivot();
     result.uncoded =
         structure.kind == coding::CodedStructure::Kind::kUncoded &&
         result.pivot == static_cast<int>(structure.index);
   }
   return result;
-}
-
-std::size_t FamilyDecoder::rank() const {
-  return rref_ ? rref_->rank() : structured_->rank();
-}
-
-bool FamilyDecoder::complete() const {
-  return rref_ ? rref_->complete() : structured_->complete();
-}
-
-std::size_t FamilyDecoder::packets_seen() const {
-  return rref_ ? dense_seen_ : structured_->packets_seen();
-}
-
-void FamilyDecoder::recover_into(std::span<std::uint8_t> out) const {
-  if (structured_) {
-    structured_->recover_into(out);
-    return;
-  }
-  OMNC_ASSERT_MSG(complete(), "recover before the generation is decodable");
-  OMNC_ASSERT(out.size() == recovered_size());
-  // In a complete basis every row's coefficient part is a unit vector, so
-  // the row with pivot b is exactly block b: one source-blocked elimination
-  // pass writes the whole generation in place.
-  rref_->materialize_into(out.data());
-}
-
-void FamilyDecoder::reset(std::uint32_t generation_id) {
-  generation_id_ = generation_id;
-  if (rref_) {
-    rref_->clear();
-    dense_seen_ = 0;
-  } else {
-    structured_->reset(generation_id);
-  }
-}
-
-const StructuredDecoder::Stats* FamilyDecoder::structured_stats() const {
-  return structured_ ? &structured_->stats() : nullptr;
 }
 
 }  // namespace omnc::codes

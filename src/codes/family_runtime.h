@@ -7,9 +7,10 @@
 // receiving decoder can exploit them).  Dense random linear coding is one
 // branch of each class: the source emits X = R * B, a relay re-encodes a
 // fresh random combination of its innovative basis, and the destination
-// decodes progressively by Gauss–Jordan elimination (RrefAccumulator).
-// Systematic and banded codes decode through the StructuredDecoder instead;
-// each engine is the faster one on its own input.
+// decodes progressively.  Every family decodes through the one
+// StructuredDecoder engine, which reads the structure side channel: dense
+// rows take its general elimination path, uncoded originals and banded
+// windows its fast paths.
 //
 // RNG draw counts are a pinned per-family invariant (per emitted packet):
 //   dense encode         — n byte draws;
@@ -29,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -141,9 +141,12 @@ class FamilyRecoder {
 /// Destination-side progressive decoder (Sec. 4, "Progressive decoding").
 /// Every received packet is absorbed on arrival, so independence checking
 /// and decoding happen on the fly; non-innovative packets reduce to zero and
-/// are discarded without their payload being read.
+/// are discarded without their payload being read.  One engine serves every
+/// code family: the StructuredDecoder, driven by each packet's structure.
 class FamilyDecoder {
  public:
+  /// The spec selects no engine (the structure side channel drives the
+  /// fast paths); it is taken for symmetry with the encoder and recoder.
   FamilyDecoder(const coding::CodingParams& params,
                 std::uint32_t generation_id, const CodeSpec& spec);
 
@@ -158,35 +161,26 @@ class FamilyDecoder {
   OfferResult offer(const coding::CodedPacketView& view,
                     const coding::CodedStructure& structure);
 
-  std::uint32_t generation_id() const { return generation_id_; }
-  std::size_t rank() const;
-  bool complete() const;
+  std::uint32_t generation_id() const { return engine_.generation_id(); }
+  std::size_t rank() const { return engine_.rank(); }
+  bool complete() const { return engine_.complete(); }
   /// Packets of this generation offered so far (for redundancy metrics).
-  std::size_t packets_seen() const;
+  std::size_t packets_seen() const { return engine_.packets_seen(); }
 
-  std::size_t recovered_size() const { return params_.generation_bytes(); }
+  std::size_t recovered_size() const { return engine_.recovered_size(); }
   /// Writes the decoded generation into `out` (exactly recovered_size()
-  /// bytes) in one elimination pass.  Requires complete().
-  void recover_into(std::span<std::uint8_t> out) const;
+  /// bytes) in one back-substitution pass.  Requires complete().
+  void recover_into(std::span<std::uint8_t> out) const {
+    engine_.recover_into(out);
+  }
 
   /// Drops all state and retargets a new generation.
-  void reset(std::uint32_t generation_id);
+  void reset(std::uint32_t generation_id) { engine_.reset(generation_id); }
 
-  /// Structured-decoder statistics; nullptr under the dense spec.
-  const StructuredDecoder::Stats* structured_stats() const;
+  const StructuredDecoder::Stats& stats() const { return engine_.stats(); }
 
  private:
-  bool dense_offer(const coding::CodedPacketView& view);
-
-  coding::CodingParams params_;
-  std::uint32_t generation_id_;
-  // Exactly one engine is engaged, by spec: the Gauss–Jordan RREF over
-  // [coefficients | payload] rows for dense, the structured decoder
-  // otherwise.
-  std::optional<coding::RrefAccumulator> rref_;
-  std::size_t dense_seen_ = 0;
-  std::optional<StructuredDecoder> structured_;
-  std::vector<std::uint8_t> scratch_coeffs_;  // structured-row expansion
+  StructuredDecoder engine_;
 };
 
 }  // namespace omnc::codes

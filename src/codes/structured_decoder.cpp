@@ -17,8 +17,6 @@ StructuredDecoder::StructuredDecoder(const coding::CodingParams& params,
   present_.assign(n, 0);
   begin_.assign(n, 0);
   end_.assign(n, 0);
-  coeffs_.resize(n * n);
-  payloads_.resize(n * params_.block_bytes);
   scratch_.resize(n);
   stats_.touched_lo = n;
   stats_.touched_hi = 0;
@@ -30,9 +28,16 @@ void StructuredDecoder::note_touch(std::size_t begin, std::size_t end) {
   stats_.touched_hi = std::max(stats_.touched_hi, end);
 }
 
+void StructuredDecoder::ensure_arenas() {
+  if (!coeffs_.empty()) return;
+  const std::size_t n = params_.generation_blocks;
+  coeffs_.resize(n * n);
+  payloads_.resize(n * params_.block_bytes);
+}
+
 bool StructuredDecoder::offer(const coding::CodedPacketView& view,
                               const coding::CodedStructure& structure) {
-  OMNC_SCOPED_TIMER("codes/structured_offer");
+  OMNC_SCOPED_TIMER("coding/decode");
   if (view.generation_id != generation_id_) return false;
   if (view.generation_blocks != params_.generation_blocks ||
       view.block_bytes != params_.block_bytes ||
@@ -61,6 +66,7 @@ bool StructuredDecoder::offer(const coding::CodedPacketView& view,
   if (structure.kind == coding::CodedStructure::Kind::kUncoded &&
       !present_[structure.index]) {
     const std::size_t p = structure.index;
+    ensure_arenas();
     row_coeffs(p)[p] = 1;
     std::memcpy(row_payload(p), view.payload.data(), m);
     begin_[p] = static_cast<std::uint16_t>(p);
@@ -133,6 +139,7 @@ bool StructuredDecoder::offer(const coding::CodedPacketView& view,
   // the deferred payload fold (same factor order as the coefficients).
   const std::uint8_t lead = scratch_[h];
   note_touch(h, e);
+  ensure_arenas();
   if (lead != 1) {
     gf::region_mul(scratch_.data() + h, scratch_.data() + h, gf::inv(lead),
                    e - h);
@@ -164,7 +171,7 @@ bool StructuredDecoder::offer(const coding::CodedPacketView& view,
 }
 
 void StructuredDecoder::recover_into(std::span<std::uint8_t> out) const {
-  OMNC_SCOPED_TIMER("codes/structured_recover");
+  OMNC_SCOPED_TIMER("coding/recover");
   OMNC_ASSERT_MSG(complete(), "recover on an incomplete structured basis");
   OMNC_ASSERT(out.size() == params_.generation_bytes());
   const std::size_t n = params_.generation_blocks;

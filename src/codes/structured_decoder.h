@@ -1,28 +1,33 @@
-// Structured decoder for systematic and banded code families (DESIGN.md §15).
+// The progressive decoder engine (Sec. 4, "Progressive decoding"; DESIGN.md
+// §15) behind FamilyDecoder, for every code family.
 //
-// The dense branch of FamilyDecoder keeps its basis (an RrefAccumulator)
-// in full reduced row-echelon form: every insert back-substitutes the new
-// pivot out of every existing row, so insert cost is O(rank * g)
-// coefficient bytes regardless of row structure.  Structured rows make that
-// a waste — an uncoded systematic original is already a unit vector, and a
-// banded row only ever has coefficients inside a narrow window.  This
-// decoder is the CBD-style alternative: the basis is kept merely
-// *upper-triangular* (one row per head column, head coefficient normalized
-// to 1, no back-substitution at insert), each row remembers its live
-// coefficient window [begin, end), and all elimination work is confined to
-// window overlaps.  Recovery runs one back-substitution sweep from the last
-// pivot to the first, again touching only each row's window.
+// The basis is kept merely *upper-triangular*, CBD-style: one row per head
+// column, head coefficient normalized to 1, no back-substitution at insert.
+// Each row remembers its live coefficient window [begin, end), and all
+// elimination work is confined to window overlaps.  Recovery runs one
+// back-substitution sweep from the last pivot to the first, again touching
+// only each row's window.  A dense row's window is simply [head, n), so
+// dense codes take the same path without any fast-path help; at paper
+// geometry that is also faster than full Gauss–Jordan, which would
+// back-substitute every new pivot out of every stored row at insert.
 //
 // The two structural fast paths the code families buy:
 //  - an uncoded original landing on a free pivot is a pure payload memcpy —
 //    zero GF multiply kernels (the lossless systematic case decodes an
 //    entire generation without a single region_mul/axpy);
 //  - a banded row's insert and recovery cost O(window) per row instead of
-//    O(g), so banded decode is ~g/w times cheaper than dense Gauss–Jordan.
+//    O(g), so banded decode is ~g/w times cheaper than dense decode.
 //
-// Payloads stay deferred exactly like the dense RREF: a rejected row's
-// payload is never read, and an accepted row folds the recorded elimination
-// factors through one batched region_axpy_many pass.
+// The claimed pivot (the residual's head column) is the same column full
+// Gauss–Jordan would claim: the two residuals differ only by basis rows
+// whose heads lie right of it.  So the span trace's "pv" field does not
+// depend on which basis form is kept.
+//
+// Payloads are deferred: a rejected row's payload is never read, and an
+// accepted row folds the recorded elimination factors through one batched
+// region_axpy_many pass.  The n x n and n x m arenas are allocated on the
+// first accepted row, not at construction, so building a decoder (part of
+// every session's set-up) costs O(n) bytes; reset() keeps them.
 //
 // Every coefficient kernel call is funnelled through one span-bounds helper
 // that tracks the min/max column ever touched — the instrumented assertion
@@ -98,6 +103,8 @@ class StructuredDecoder {
 
   /// Records that coefficient arithmetic is about to touch [begin, end).
   void note_touch(std::size_t begin, std::size_t end);
+  /// Sizes the arenas on the first accepted row; a no-op afterwards.
+  void ensure_arenas();
 
   coding::CodingParams params_;
   std::uint32_t generation_id_;
@@ -110,12 +117,13 @@ class StructuredDecoder {
   std::vector<std::uint16_t> end_;      // per row: window end (exclusive)
   std::vector<std::uint8_t> coeffs_;    // n x n arena, head normalized to 1
   std::vector<std::uint8_t> payloads_;  // n x m arena, eliminated payloads
+                                        // (both empty until a row lands)
 
   // offer() scratch, reused across calls.
   std::vector<std::uint8_t> scratch_;              // one dense coeff row
   std::vector<std::size_t> pending_rows_;          // elimination trail
   std::vector<std::uint8_t> pending_factors_;
-  // Also used by const recover_into(); logically scratch, like the RREF's.
+  // Also used by const recover_into(); logically scratch.
   mutable std::vector<const std::uint8_t*> axpy_srcs_;  // batched payload fold
   mutable std::vector<std::uint8_t> axpy_factors_;
 };

@@ -88,6 +88,22 @@ CodedPacketView CodedPacket::as_view() const {
   return view;
 }
 
+CodedPacketView CodedPacket::as_view(const CodedStructure& structure) const {
+  CodedPacketView view = as_view();
+  switch (structure.kind) {
+    case CodedStructure::Kind::kDense:
+      break;
+    case CodedStructure::Kind::kUncoded:
+      view.coefficients = {};
+      break;
+    case CodedStructure::Kind::kWindow:
+      view.coefficients =
+          view.coefficients.subspan(structure.offset, structure.width);
+      break;
+  }
+  return view;
+}
+
 bool CodedPacket::parse(std::span<const std::uint8_t> wire, CodedPacket* out) {
   CodedPacketView view;
   if (!CodedPacketView::parse(wire, &view)) return false;

@@ -54,9 +54,9 @@ void expand_coefficients(const CodedStructure& structure,
 /// Non-owning parse of a coded packet: the header fields are decoded, the
 /// coefficient vector and payload stay as spans into the caller's buffer.
 /// This is the zero-copy receive path — a view can be validated and offered
-/// to the RREF accumulator without materializing owning vectors; the
-/// accumulator copies the payload region directly into its arena only when
-/// the row turns out to be innovative.  A view is only valid while the
+/// to the recoder or decoder without materializing owning vectors; they copy
+/// the payload region directly into their arenas only when the row turns out
+/// to be innovative.  A view is only valid while the
 /// buffer it was parsed from is alive and unmodified.
 struct CodedPacketView {
   std::uint32_t session_id = 0;
@@ -109,6 +109,10 @@ struct CodedPacket {
   /// Non-owning view over this packet's own storage (same lifetime rules as
   /// a parsed view: valid while the packet is alive and unmodified).
   CodedPacketView as_view() const;
+  /// The view a receiver of `structure` sees: only the structure's explicit
+  /// coefficient bytes (all n for kDense, the window for kWindow, none for
+  /// kUncoded), exactly what the compact wire parse yields.
+  CodedPacketView as_view(const CodedStructure& structure) const;
 
   /// Parses a packet; returns false on truncation or inconsistent lengths.
   static bool parse(std::span<const std::uint8_t> wire, CodedPacket* out);

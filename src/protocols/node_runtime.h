@@ -7,9 +7,8 @@
 //                   counters;
 //   * relay       — the innovation-filtered recode buffer (Sec. 4, "Packet
 //                   and Queue Management") plus generation-expiry flushing;
-//   * destination — the family-parameterized decoder (progressive
-//                   Gauss–Jordan for dense, the structured CBD-style decoder
-//                   for systematic/banded — DESIGN.md §15).
+//   * destination — the progressive decoder (one structured CBD-style
+//                   engine for every family — DESIGN.md §15).
 //
 // The code family is a construction-time CodeSpec; the default dense spec
 // reproduces the pre-family pipeline byte-for-byte and draw-for-draw.  Every
@@ -120,10 +119,6 @@ class NodeRuntime {
   void advance_generation();
 
   std::size_t rank() const;
-
-  /// Destination only: structured-decoder statistics (nullptr under the
-  /// dense spec).
-  const codes::StructuredDecoder::Stats* structured_stats() const;
 
  private:
   NodeRuntime(Role role, const coding::CodingParams& params,

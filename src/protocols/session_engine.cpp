@@ -292,21 +292,8 @@ void SessionEngine::on_receive_frame(net::NodeId rx, const net::Frame& frame) {
   // The sim's bytes are always the dense wire form, but the frame's
   // structure side channel keeps the structured decoders' fast paths alive;
   // the view is re-sliced to the structure's explicit coefficient bytes.
-  coding::CodedPacketView view = packet.as_view();
-  switch (frame.structure.kind) {
-    case coding::CodedStructure::Kind::kDense:
-      break;
-    case coding::CodedStructure::Kind::kUncoded:
-      view.coefficients = {};
-      break;
-    case coding::CodedStructure::Kind::kWindow:
-      view.coefficients =
-          view.coefficients.subspan(frame.structure.offset,
-                                    frame.structure.width);
-      break;
-  }
   const NodeRuntime::ReceiveOutcome outcome =
-      node.receive(view, frame.structure);
+      node.receive(packet.as_view(frame.structure), frame.structure);
   int edge = -1;
   if (outcome.innovative) {
     const std::size_t v = static_cast<std::size_t>(graph.size());

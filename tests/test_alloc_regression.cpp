@@ -1,12 +1,14 @@
 // Allocation-count regression: the steady-state receive paths — wire bytes
-// -> DataFrameView -> RREF offer -> recover_into at the destination, and
+// -> DataFrameView -> decoder offer -> recover_into at the destination, and
 // view offer -> recode_into -> serialize_into at a relay — must not touch
 // the heap at all once first-generation warm-up has sized every arena and
 // scratch vector.  Global operator new/delete are replaced with counting
 // versions; each test drives one full generation inside a counting window
 // and pins the delta to zero, so any future per-packet allocation (a stray
 // copy, a vector that re-grows, a debug string) fails loudly instead of
-// silently eroding the zero-copy pipeline.
+// silently eroding the zero-copy pipeline.  A byte counter beside the
+// allocation counter pins the decoder's set-up cost: its arenas wait for
+// the first packet.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,10 +26,18 @@
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_allocated_bytes{0};
+
+// Out of line: with the counters inlined into operator new, GCC 12 at -O2
+// reports a false -Wmismatched-new-delete on gtest's own new/delete pairs.
+[[gnu::noinline]] void count_allocation(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -35,7 +45,7 @@ void* operator new(std::size_t size) {
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   return std::malloc(size ? size : 1);
 }
 
@@ -44,7 +54,7 @@ void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
 }
 
 void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   const std::size_t alignment = static_cast<std::size_t>(align);
   const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
   if (void* p = std::aligned_alloc(alignment, rounded ? rounded : alignment)) {
@@ -139,6 +149,18 @@ TEST(AllocRegression, SteadyStateDecodePathIsAllocationFree) {
   const std::span<const std::uint8_t> want = expected.bytes();
   ASSERT_EQ(recovered.size(), want.size());
   EXPECT_TRUE(std::equal(recovered.begin(), recovered.end(), want.begin()));
+}
+
+TEST(AllocRegression, NewDecoderDefersItsArenasToTheFirstOffer) {
+  const coding::CodingParams params{40, 1024};
+  const std::size_t before =
+      g_allocated_bytes.load(std::memory_order_relaxed);
+  codes::FamilyDecoder decoder(params, 0, codes::CodeSpec::dense());
+  const std::size_t held =
+      g_allocated_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(held, std::size_t{params.generation_blocks} * params.block_bytes)
+      << "a decoder that has seen no packet must not hold n x m bytes";
+  EXPECT_EQ(decoder.rank(), 0u);
 }
 
 TEST(AllocRegression, SteadyStateRelayPathIsAllocationFree) {

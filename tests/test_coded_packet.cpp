@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "codes/family_runtime.h"
 #include "coding_test_util.h"
 #include "common/rng.h"
@@ -32,6 +34,26 @@ TEST(CodedPacket, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed.block_bytes, pkt.block_bytes);
   EXPECT_EQ(parsed.coefficients, pkt.coefficients);
   EXPECT_EQ(parsed.payload, pkt.payload);
+}
+
+// A structured view keeps exactly the coefficient bytes the compact wire
+// form carries (and all n of them for a dense structure).
+TEST(CodedPacket, StructuredViewMatchesCompactParse) {
+  const CodedPacket pkt = sample_packet();
+  EXPECT_EQ(pkt.as_view(CodedStructure::make_dense()).coefficients.size(), 4u);
+  for (const CodedStructure& structure :
+       {CodedStructure::make_uncoded(2), CodedStructure::make_window(1, 2)}) {
+    std::vector<std::uint8_t> wire;
+    ASSERT_TRUE(serialize_compact(pkt, structure, wire));
+    CodedPacketView parsed;
+    CodedStructure parsed_structure;
+    ASSERT_TRUE(parse_compact(wire, &parsed, &parsed_structure));
+    const CodedPacketView view = pkt.as_view(structure);
+    EXPECT_TRUE(std::equal(view.coefficients.begin(), view.coefficients.end(),
+                           parsed.coefficients.begin(),
+                           parsed.coefficients.end()));
+    EXPECT_EQ(view.payload.data(), pkt.payload.data());
+  }
 }
 
 TEST(CodedPacket, WireSizeAccounting) {

@@ -36,26 +36,6 @@
 namespace omnc::codes {
 namespace {
 
-/// The view a receiver sees: the structure's explicit coefficient bytes
-/// only (all n for dense, the window for kWindow, none for kUncoded) —
-/// exactly what parse_compact yields off the wire.
-coding::CodedPacketView slice_view(const coding::CodedPacket& packet,
-                                   const coding::CodedStructure& structure) {
-  coding::CodedPacketView view = packet.as_view();
-  switch (structure.kind) {
-    case coding::CodedStructure::Kind::kDense:
-      break;
-    case coding::CodedStructure::Kind::kUncoded:
-      view.coefficients = {};
-      break;
-    case coding::CodedStructure::Kind::kWindow:
-      view.coefficients =
-          view.coefficients.subspan(structure.offset, structure.width);
-      break;
-  }
-  return view;
-}
-
 /// gen.bytes() is a span; gtest wants a homogeneous comparison.
 testing::AssertionResult same_bytes(std::span<const std::uint8_t> got,
                                     std::span<const std::uint8_t> want) {
@@ -115,7 +95,7 @@ TEST(Families, SystematicLosslessDecodeDoesZeroMultiplies) {
     encoder.next_packet_into(rng, &packet, &structure);
     ASSERT_EQ(structure.kind, coding::CodedStructure::Kind::kUncoded);
     const FamilyDecoder::OfferResult outcome =
-        decoder.offer(slice_view(packet, structure), structure);
+        decoder.offer(packet.as_view(structure), structure);
     ASSERT_TRUE(outcome.innovative);
     EXPECT_TRUE(outcome.uncoded);
     EXPECT_EQ(outcome.pivot, static_cast<int>(i));
@@ -127,9 +107,7 @@ TEST(Families, SystematicLosslessDecodeDoesZeroMultiplies) {
   EXPECT_EQ(stats.mul_calls, 0u) << "lossless systematic must be pure memcpy";
   EXPECT_EQ(stats.mul_bytes, 0u);
   EXPECT_TRUE(same_bytes(out, gen.bytes()));
-  ASSERT_NE(decoder.structured_stats(), nullptr);
-  EXPECT_EQ(decoder.structured_stats()->uncoded_hits,
-            params.generation_blocks);
+  EXPECT_EQ(decoder.stats().uncoded_hits, params.generation_blocks);
 }
 
 // --- byte-exact recovery sweep: family x geometry x loss ------------------
@@ -162,7 +140,7 @@ TEST_P(FamilySweepTest, RecoversOriginalBytesUnderLoss) {
     encoder.next_packet_into(rng, &packet, &structure);
     ++sent;
     if (loss_rng.next_double() < c.loss) continue;  // erased in flight
-    decoder.offer(slice_view(packet, structure), structure);
+    decoder.offer(packet.as_view(structure), structure);
   }
   std::vector<std::uint8_t> out(params.generation_bytes());
   decoder.recover_into(std::span<std::uint8_t>(out));
@@ -209,7 +187,7 @@ TEST(Families, BandedDecodeNeverTouchesOutsideOfferedWindows) {
     if (structure.offset < lo || structure.offset + structure.width > hi) {
       continue;
     }
-    decoder.offer(slice_view(packet, structure), structure);
+    decoder.offer(packet.as_view(structure), structure);
     ++offered;
   }
   ASSERT_GT(offered, 0u);
@@ -240,7 +218,7 @@ TEST(Families, BandedSweepTouchedRangeMatchesOfferedUnion) {
       ASSERT_LT(sent, 8192u);
       encoder.next_packet_into(rng, &packet, &structure);
       ++sent;
-      if (decoder.offer(slice_view(packet, structure), structure)) {
+      if (decoder.offer(packet.as_view(structure), structure)) {
         union_lo = std::min<std::size_t>(union_lo, structure.offset);
         union_hi = std::max<std::size_t>(union_hi,
                                          structure.offset + structure.width);
@@ -332,7 +310,7 @@ TEST(Families, RecoderForwardDrawsZeroThenDenseRankDraws) {
   std::size_t stored = 0;
   for (int i = 0; i < 12; ++i) {
     encoder.next_packet_into(enc_rng, &packet, &structure);
-    if (recoder.offer(slice_view(packet, structure), structure)) ++stored;
+    if (recoder.offer(packet.as_view(structure), structure)) ++stored;
   }
   ASSERT_GT(stored, 0u);
   Rng used(42), shadow(42);
@@ -370,11 +348,11 @@ TEST(Families, BandedSurvivesRecodingRelay) {
     ASSERT_LT(++steps, 4096u);
     encoder.next_packet_into(rng, &packet, &structure);
     if (loss_rng.next_double() < 0.3) continue;  // source -> relay loss
-    relay.offer(slice_view(packet, structure), structure);
+    relay.offer(packet.as_view(structure), structure);
     if (relay.rank() == 0) continue;
     relay.recode_into(rng, &relayed, &relayed_structure);
     if (loss_rng.next_double() < 0.3) continue;  // relay -> dest loss
-    decoder.offer(slice_view(relayed, relayed_structure), relayed_structure);
+    decoder.offer(relayed.as_view(relayed_structure), relayed_structure);
   }
   std::vector<std::uint8_t> out(params.generation_bytes());
   decoder.recover_into(std::span<std::uint8_t>(out));
@@ -396,7 +374,7 @@ TEST(Families, MixedFamilyPeersInteroperate) {
     while (!dense_decoder.complete()) {
       ASSERT_LT(++sent, 2048u);
       encoder.next_packet_into(rng, &packet, &structure);
-      dense_decoder.offer(slice_view(packet, structure), structure);
+      dense_decoder.offer(packet.as_view(structure), structure);
     }
     EXPECT_TRUE(same_bytes(testing_util::recover(dense_decoder), gen.bytes()));
   }
@@ -407,7 +385,7 @@ TEST(Families, MixedFamilyPeersInteroperate) {
     while (!banded_decoder.complete()) {
       ASSERT_LT(++sent, 2048u);
       encoder.next_packet_into(rng, &packet, &structure);
-      banded_decoder.offer(slice_view(packet, structure), structure);
+      banded_decoder.offer(packet.as_view(structure), structure);
     }
     EXPECT_TRUE(same_bytes(testing_util::recover(banded_decoder), gen.bytes()));
   }
@@ -474,7 +452,7 @@ TEST(Families, AllFamiliesByteExactOnEveryBackend) {
                                  << spec.selector();
         encoder.next_packet_into(rng, &packet, &structure);
         if (loss_rng.next_double() < 0.2) continue;
-        decoder.offer(slice_view(packet, structure), structure);
+        decoder.offer(packet.as_view(structure), structure);
       }
       EXPECT_TRUE(same_bytes(testing_util::recover(decoder), gen.bytes()))
           << gf::backend_name(backend) << " " << spec.selector();
@@ -505,7 +483,7 @@ TEST(CompactWire, RoundTripsEveryStructureKind) {
       ASSERT_TRUE(coding::parse_compact(
           std::span<const std::uint8_t>(wire), &view, &parsed));
       EXPECT_EQ(parsed, structure);
-      const coding::CodedPacketView expected = slice_view(packet, structure);
+      const coding::CodedPacketView expected = packet.as_view(structure);
       EXPECT_TRUE(std::equal(view.coefficients.begin(),
                              view.coefficients.end(),
                              expected.coefficients.begin(),
